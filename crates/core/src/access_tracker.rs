@@ -46,6 +46,14 @@ impl AccessBuffer {
         }
     }
 
+    /// Returns the buffer to its [`AccessBuffer::empty`] state in place,
+    /// keeping the entry vector's allocation.
+    fn clear(&mut self) {
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
+        *self = AccessBuffer { entries, ..AccessBuffer::empty(0) };
+    }
+
     fn reset_for(&mut self, pc: u64) {
         self.valid = true;
         self.inst_addr = pc;
@@ -55,11 +63,6 @@ impl AccessBuffer {
         self.protected = false;
         self.protected_scale = None;
         self.guided_prefetches = 0;
-    }
-
-    /// `true` when the buffer is associated with a load.
-    pub fn is_valid(&self) -> bool {
-        self.valid
     }
 
     /// The associated load's instruction address.
@@ -304,11 +307,10 @@ impl AccessTracker {
         (self.protections_granted, self.protections_expired)
     }
 
-    /// Clears all buffers.
+    /// Clears all buffers in place, keeping their allocations.
     pub fn reset(&mut self) {
-        let cap = self.cfg.entries_per_buffer;
         for b in &mut self.buffers {
-            *b = AccessBuffer::empty(cap);
+            b.clear();
         }
         self.pc_index.clear();
         self.n_valid = 0;
@@ -740,6 +742,20 @@ mod tests {
         let d = probe(&mut t, 0x8008, 0x2000, 1);
         assert_eq!(d.buffer, Some(0));
         assert!(t.buffer(0).blocks().eq([0x2000]));
+    }
+
+    #[test]
+    fn reset_keeps_entry_allocations() {
+        let mut t = at(2);
+        probe(&mut t, 0x8008, 0x1000, 0);
+        let before: Vec<_> = t.buffers.iter().map(|b| b.entries.as_ptr()).collect();
+        t.reset();
+        let after: Vec<_> = t.buffers.iter().map(|b| b.entries.as_ptr()).collect();
+        assert_eq!(before, after);
+        assert!(t
+            .buffers
+            .iter()
+            .all(|b| b.entries.is_empty() && b.entries.capacity() >= t.cfg.entries_per_buffer));
     }
 
     #[test]

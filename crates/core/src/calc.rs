@@ -142,6 +142,7 @@ impl CalculationBuffer {
     }
 
     /// Applies one retired instruction's Table III rule.
+    #[inline]
     pub fn apply(&mut self, instr: &Instr) {
         match *instr {
             // Data movement.
@@ -174,6 +175,7 @@ impl CalculationBuffer {
         }
     }
 
+    #[inline]
     fn additive(&mut self, rd: Reg, a: Reg, b: Operand, subtract: bool) {
         let s0 = self.regs[a.index()];
         let out = match b {

@@ -35,6 +35,10 @@ pub struct Prefender {
     at: Option<AccessTracker>,
     rp: Option<RecordProtector>,
     basic: Option<Box<dyn Prefetcher>>,
+    /// Whether `basic` wants retire events (its `retire_interest()` is
+    /// not `None`), cached when it is attached so the per-instruction
+    /// path skips a virtual call that would do nothing.
+    basic_retires: bool,
     stats: PrefenderStats,
     line_size: u64,
     /// When false, the Scale Tracker still tracks dataflow and feeds the
@@ -74,6 +78,7 @@ impl Prefender {
             at,
             rp: cfg.rp.map(RecordProtector::new),
             basic: None,
+            basic_retires: false,
             stats: PrefenderStats::new(),
             line_size,
             st_prefetching: true,
@@ -120,8 +125,10 @@ impl Prefetcher for Prefender {
         if let Some(st) = self.st.as_mut() {
             st.on_retire(ev.instr);
         }
-        if let Some(b) = self.basic.as_mut() {
-            b.on_retire(ev);
+        if self.basic_retires {
+            if let Some(b) = self.basic.as_mut() {
+                b.on_retire(ev);
+            }
         }
     }
 
@@ -324,6 +331,8 @@ impl PrefenderBuilder {
     pub fn build(self) -> Prefender {
         let mut p =
             Prefender::from_config(PrefenderConfig { st: self.st, at: self.at, rp: self.rp });
+        p.basic_retires =
+            self.basic.as_ref().is_some_and(|b| b.retire_interest() != RetireInterest::None);
         p.basic = self.basic;
         p.st_prefetching = self.st_prefetching;
         p

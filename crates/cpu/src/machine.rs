@@ -232,15 +232,6 @@ impl Machine {
         &self.cores[core]
     }
 
-    /// Mutable core access (register setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_mut(&mut self, core: usize) -> &mut Core {
-        &mut self.cores[core]
-    }
-
     /// Number of cores.
     pub fn n_cores(&self) -> usize {
         self.cores.len()
@@ -280,18 +271,6 @@ impl Machine {
     /// Panics if `core` is out of range.
     pub fn prefetcher(&self, core: usize) -> Option<&dyn Prefetcher> {
         self.prefetchers[core].as_deref()
-    }
-
-    /// Mutable access to `core`'s prefetcher (stat queries on concrete types).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn prefetcher_mut(&mut self, core: usize) -> Option<&mut (dyn Prefetcher + '_)> {
-        match self.prefetchers[core].as_mut() {
-            Some(b) => Some(&mut **b),
-            None => None,
-        }
     }
 
     /// Loads `program` on `core`, starting when the core is next free.

@@ -1,10 +1,13 @@
 //! Scoped phase timers with a per-thread span stack.
 //!
-//! Spans are **off by default**: until [`enable_spans`]`(true)` runs,
-//! [`span`] costs one `Relaxed` atomic load and returns a disarmed guard
-//! without reading the clock — cheap enough to leave in per-access and
-//! per-instruction paths. When enabled, each span records wall time into
-//! a thread-local profile keyed by phase name, with parent spans
+//! Spans are **off by default**. Until [`enable_spans`]`(true)` runs, a
+//! span costs one `Relaxed` atomic load and one inlined branch when it
+//! opens, and one inlined branch on its guard's `armed` flag when it
+//! drops: no clock read, no thread-local touch and no call. That is
+//! cheap enough to leave in per-access and per-instruction paths. The
+//! recording halves of open and drop sit in `#[cold]` functions that
+//! only armed spans reach. When enabled, each span records wall time
+//! into a thread-local profile keyed by phase name, with parent spans
 //! accumulating child time so *self* time (exclusive of nested spans) is
 //! reported alongside totals.
 //!
@@ -73,17 +76,26 @@ pub struct SpanGuard {
 
 /// Opens a span named `name` on this thread's span stack.
 ///
-/// When spans are disabled this is one atomic load — no clock read, no
-/// thread-local touch.
+/// When spans are disabled this is one atomic load plus one inlined
+/// branch, and dropping the returned guard is one more inlined branch —
+/// no clock read, no thread-local touch, no call.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !spans_enabled() {
         return SpanGuard { armed: false };
     }
+    open_span(name);
+    SpanGuard { armed: true }
+}
+
+/// Pushes a frame for `name`: the armed half of [`span`], out of line
+/// like [`close_span`].
+#[cold]
+#[inline(never)]
+fn open_span(name: &'static str) {
     STACK.with(|s| {
         s.borrow_mut().push(Frame { name, start: Instant::now(), child_nanos: 0 });
     });
-    SpanGuard { armed: true }
 }
 
 /// Opens a span only when `cond` also holds — for hot paths where even
@@ -99,27 +111,36 @@ pub fn span_if(name: &'static str, cond: bool) -> SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
-        if !self.armed {
-            return;
+        if self.armed {
+            close_span();
         }
-        let (name, total, self_ns) = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let frame = stack.pop().expect("span stack underflow");
-            let total = frame.start.elapsed().as_nanos() as u64;
-            if let Some(parent) = stack.last_mut() {
-                parent.child_nanos += total;
-            }
-            (frame.name, total, total.saturating_sub(frame.child_nanos))
-        });
-        PROFILE.with(|p| {
-            let mut profile = p.borrow_mut();
-            let acc = profile.entry(name).or_default();
-            acc.count += 1;
-            acc.total_ns += total;
-            acc.self_ns += self_ns;
-        });
     }
+}
+
+/// Pops this thread's innermost span and books its time: the armed half
+/// of [`SpanGuard`]'s drop, kept out of line so a disarmed drop inlines
+/// to one branch.
+#[cold]
+#[inline(never)]
+fn close_span() {
+    let (name, total, self_ns) = STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        let frame = stack.pop().expect("span stack underflow");
+        let total = frame.start.elapsed().as_nanos() as u64;
+        if let Some(parent) = stack.last_mut() {
+            parent.child_nanos += total;
+        }
+        (frame.name, total, total.saturating_sub(frame.child_nanos))
+    });
+    PROFILE.with(|p| {
+        let mut profile = p.borrow_mut();
+        let acc = profile.entry(name).or_default();
+        acc.count += 1;
+        acc.total_ns += total;
+        acc.self_ns += self_ns;
+    });
 }
 
 /// Drains this thread's accumulated profile, sorted by phase name.

@@ -99,6 +99,11 @@ pub struct Cache {
     stats: CacheStats,
     fill_seq: u64,
     rng_state: u64,
+    /// Slot (`set * assoc + way`) of the last demand hit. Only a hint:
+    /// [`Cache::demand_hit_last`] re-checks the slot's tag on every use,
+    /// and a fill never installs a tag twice in one set, so flushes,
+    /// invalidations, fills and [`Cache::reset`] leave it alone.
+    last_hit: usize,
     /// Flight-recorder identity (`level << 4 | core`), assigned by the
     /// hierarchy. Not part of simulated state: it survives [`Cache::reset`]
     /// and standalone caches keep the 0 default.
@@ -124,6 +129,7 @@ impl Cache {
             stats: CacheStats::new(),
             fill_seq: 0,
             rng_state: COLD_RNG_STATE,
+            last_hit: 0,
             trace_id: 0,
         }
     }
@@ -291,24 +297,8 @@ impl Cache {
         let la = self.line_addr(addr);
         let set = self.set_of(addr);
         let tid = self.trace_id;
-        for (way, line) in self.ways_mut(set).iter_mut().enumerate() {
-            if line.valid && line.tag == la {
-                line.last_touch = now;
-                let first_use = line.prefetched;
-                let source = line.source;
-                if first_use {
-                    line.prefetched = false;
-                    self.stats.prefetch_useful += 1;
-                }
-                trace_event(|| TraceEvent::DemandHit {
-                    at: u64::from(now),
-                    cache: tid,
-                    set: set as u32,
-                    way: way as u32,
-                    line: la,
-                });
-                return LookupResult::Hit { first_prefetch_use: first_use, source };
-            }
+        if let Some(way) = self.ways(set).iter().position(|l| l.valid && l.tag == la) {
+            return self.hit_slot(set * self.assoc + way, now);
         }
         if let Some(f) = self.inflight.remove(&la) {
             // Late prefetch: materialize at its completion time (the
@@ -336,6 +326,47 @@ impl Cache {
             line: la,
         });
         LookupResult::Miss
+    }
+
+    /// The last-hit shortcut of [`Cache::demand_lookup`]: when the line
+    /// holding `addr` still sits in the slot of this cache's last demand
+    /// hit, applies exactly the hit `demand_lookup` would (through the
+    /// same [`Cache::hit_slot`]) and returns `true`. Otherwise it changes
+    /// nothing and returns `false`, and the caller takes the full lookup.
+    #[inline]
+    pub(crate) fn demand_hit_last(&mut self, addr: Addr, now: Cycle) -> bool {
+        let line = &self.sets[self.last_hit];
+        if line.valid && line.tag == self.line_addr(addr) {
+            self.hit_slot(self.last_hit, now);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Applies a demand hit on the installed line at `slot`: recency,
+    /// tag-bit bookkeeping, the `DemandHit` event and the last-hit hint.
+    #[inline]
+    fn hit_slot(&mut self, slot: usize, now: Cycle) -> LookupResult {
+        self.last_hit = slot;
+        let line = &mut self.sets[slot];
+        line.last_touch = now;
+        let first_use = line.prefetched;
+        let source = line.source;
+        let la = line.tag;
+        if first_use {
+            line.prefetched = false;
+            self.stats.prefetch_useful += 1;
+        }
+        let (tid, assoc) = (self.trace_id, self.assoc);
+        trace_event(|| TraceEvent::DemandHit {
+            at: u64::from(now),
+            cache: tid,
+            set: (slot / assoc) as u32,
+            way: (slot % assoc) as u32,
+            line: la,
+        });
+        LookupResult::Hit { first_prefetch_use: first_use, source }
     }
 
     fn line_mut(&mut self, addr: Addr) -> Option<&mut CacheLine> {

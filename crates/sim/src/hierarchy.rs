@@ -374,7 +374,23 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
+    #[inline]
     pub fn fetch(&mut self, core: usize, addr: Addr, now: Cycle) -> u64 {
+        // Straight-line code fetches one line many times in a row: try
+        // the L1I's last-hit slot before the full lookup.
+        let l1i = &mut self.l1i[core];
+        if l1i.demand_hit_last(addr, now) {
+            let st = l1i.stats_mut();
+            st.demand_accesses += 1;
+            st.demand_hits += 1;
+            return 0;
+        }
+        self.fetch_lookup(core, addr, now)
+    }
+
+    /// [`MemorySystem::fetch`] through the full L1I lookup.
+    #[inline(never)]
+    pub(crate) fn fetch_lookup(&mut self, core: usize, addr: Addr, now: Cycle) -> u64 {
         self.l1i[core].stats_mut().demand_accesses += 1;
         match self.l1i[core].demand_lookup(addr, now) {
             LookupResult::Hit { .. } => {

@@ -31,6 +31,8 @@
 mod addr;
 mod cache;
 mod config;
+#[cfg(test)]
+mod fetch_props;
 mod hash;
 mod hierarchy;
 mod line;
