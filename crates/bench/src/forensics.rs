@@ -164,6 +164,7 @@ mod tests {
 
     #[test]
     fn small_run_emits_control_survivors_and_sealed_cells() {
+        let _g = crate::TRACE_GATE.lock().unwrap_or_else(|p| p.into_inner());
         let cells = vec![
             ("fr/base".to_string(), AttackSpec::new(AttackKind::FlushReload, DefenseConfig::None)),
             (

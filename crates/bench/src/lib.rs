@@ -41,3 +41,8 @@ pub mod tables;
 // (`prefender_sweep::perf`); the types are flattened here for the
 // harness's callers.
 pub use prefender_sweep::perf::{Basic, PerfColumn, PerfResult, PrefenderKind};
+
+/// The flight recorder is armed process-wide, so the tests in this
+/// crate that arm it serialize on this gate.
+#[cfg(test)]
+pub(crate) static TRACE_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());

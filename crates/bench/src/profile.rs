@@ -405,6 +405,7 @@ mod tests {
 
     #[test]
     fn trace_section_quantiles_latency_classes() {
+        let _g = crate::TRACE_GATE.lock().unwrap_or_else(|p| p.into_inner());
         let t = trace_grid("test trace", &leakage_cell_grid());
         assert!(!prefender_obs::trace_armed(), "recorder must be disarmed on return");
         assert!(t.events > 0);

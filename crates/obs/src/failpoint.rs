@@ -16,14 +16,21 @@
 //!
 //! Rules are deterministic: `name=action@n` fires on the *n*-th hit of
 //! `name` (1-based, one-shot), so "kill after the 3rd shard commit" is
-//! reproducible run-to-run. Specs arm either programmatically
-//! ([`arm_failpoints`]) or from the `PREFENDER_FAILPOINTS` environment
-//! variable ([`arm_failpoints_from_env`]), which the binaries read at
-//! startup; several `;`-separated rules may be armed at once.
+//! reproducible run-to-run. Several `;`-separated rules may be armed at
+//! once, in one of two scopes that share a single registry:
+//!
+//! * [`arm_failpoints`] arms rules for the **calling thread only**: hits
+//!   on other threads neither fire nor count them. Concurrent tests that
+//!   run the same sites (every sharded campaign hits `shard.write`)
+//!   cannot consume each other's one-shot rules.
+//! * [`arm_failpoints_from_env`] arms the `PREFENDER_FAILPOINTS` spec
+//!   **process-wide** — what the binaries read at startup, so an
+//!   out-of-process harness can fault any thread of a child process.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 
 /// Environment variable the binaries read at startup to arm failpoints.
 pub const FAILPOINTS_ENV: &str = "PREFENDER_FAILPOINTS";
@@ -44,13 +51,15 @@ pub enum FailAction {
 
 #[derive(Debug)]
 struct Rule {
+    /// The arming thread, or `None` for a process-wide rule.
+    owner: Option<ThreadId>,
     name: String,
     action: FailAction,
     /// Hits remaining before the rule fires; 0 = already fired.
     countdown: u64,
 }
 
-fn parse_rule(spec: &str) -> Result<Rule, String> {
+fn parse_rule(spec: &str, owner: Option<ThreadId>) -> Result<Rule, String> {
     let (name, rest) = spec
         .split_once('=')
         .ok_or_else(|| format!("failpoint rule `{spec}` is not `name=action[@n]`"))?;
@@ -75,37 +84,46 @@ fn parse_rule(spec: &str) -> Result<Rule, String> {
             .filter(|&n| n >= 1)
             .ok_or_else(|| format!("failpoint count `{n}` is not a positive integer"))?,
     };
-    Ok(Rule { name: name.to_string(), action, countdown })
+    Ok(Rule { owner, name: name.to_string(), action, countdown })
 }
 
-/// Arms failpoints from a spec string: `;`-separated `name=action[@n]`
-/// rules, where action is `kill`, `hang` or `err` and `@n` (default 1)
-/// fires the rule on the n-th hit of `name`. Replaces any previously
-/// armed rules; an empty spec disarms.
-pub fn arm_failpoints(spec: &str) -> Result<(), String> {
+/// Replaces the rules of `owner`'s scope with `spec`'s.
+fn arm(spec: &str, owner: Option<ThreadId>) -> Result<(), String> {
     let mut rules = Vec::new();
     for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
-        rules.push(parse_rule(part)?);
+        rules.push(parse_rule(part, owner)?);
     }
-    let armed = !rules.is_empty();
-    *REGISTRY.lock().unwrap() = rules;
-    FAILPOINTS_ARMED.store(armed, Ordering::Relaxed);
+    let mut registry = REGISTRY.lock().expect("failpoint registry poisoned by a panicking arm");
+    registry.retain(|r| r.owner != owner);
+    registry.extend(rules);
+    FAILPOINTS_ARMED.store(!registry.is_empty(), Ordering::Relaxed);
     Ok(())
 }
 
-/// Disarms all failpoints, restoring the zero-cost default.
-pub fn disarm_failpoints() {
-    REGISTRY.lock().unwrap().clear();
-    FAILPOINTS_ARMED.store(false, Ordering::Relaxed);
+/// Arms failpoints for the calling thread from a spec string:
+/// `;`-separated `name=action[@n]` rules, where action is `kill`, `hang`
+/// or `err` and `@n` (default 1) fires the rule on the thread's n-th hit
+/// of `name`. Replaces the thread's previously armed rules; an empty
+/// spec disarms them. Other threads' rules are untouched.
+pub fn arm_failpoints(spec: &str) -> Result<(), String> {
+    arm(spec, Some(thread::current().id()))
 }
 
-/// Arms failpoints from [`FAILPOINTS_ENV`] if it is set. Returns whether
-/// anything was armed; a malformed spec is an error (binaries should
-/// refuse to run rather than silently skip the requested fault).
+/// Disarms the calling thread's failpoints. Once no thread (and no
+/// process-wide rule) has any armed, sites are back to the zero-cost
+/// default.
+pub fn disarm_failpoints() {
+    let _ = arm("", Some(thread::current().id()));
+}
+
+/// Arms failpoints process-wide from [`FAILPOINTS_ENV`] if it is set,
+/// replacing earlier process-wide rules. Returns whether anything was
+/// armed; a malformed spec is an error (binaries should refuse to run
+/// rather than silently skip the requested fault).
 pub fn arm_failpoints_from_env() -> Result<bool, String> {
     match std::env::var(FAILPOINTS_ENV) {
         Ok(spec) if !spec.trim().is_empty() => {
-            arm_failpoints(&spec)?;
+            arm(&spec, None)?;
             Ok(true)
         }
         _ => Ok(false),
@@ -113,9 +131,9 @@ pub fn arm_failpoints_from_env() -> Result<bool, String> {
 }
 
 /// A named failure point. Disarmed (the default) this is one `Relaxed`
-/// atomic load. Armed, the matching rule's n-th hit either returns an
-/// injected [`io::Error`] (`err`), aborts the process (`kill`), or
-/// sleeps forever (`hang`).
+/// atomic load. Armed, the n-th hit of a rule in scope (process-wide, or
+/// armed by this thread) either returns an injected [`io::Error`]
+/// (`err`), aborts the process (`kill`), or sleeps forever (`hang`).
 #[inline]
 pub fn failpoint(name: &str) -> io::Result<()> {
     if !FAILPOINTS_ARMED.load(Ordering::Relaxed) {
@@ -126,10 +144,12 @@ pub fn failpoint(name: &str) -> io::Result<()> {
 
 #[cold]
 fn fire(name: &str) -> io::Result<()> {
+    let me = thread::current().id();
     let action = {
         let mut registry = REGISTRY.lock().unwrap();
         let mut fired = None;
-        for rule in registry.iter_mut().filter(|r| r.name == name) {
+        let in_scope = |r: &&mut Rule| r.name == name && r.owner.is_none_or(|o| o == me);
+        for rule in registry.iter_mut().filter(in_scope) {
             match rule.countdown {
                 0 => {} // already fired (one-shot)
                 1 => {
@@ -167,14 +187,11 @@ fn fire(name: &str) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    // Failpoints are global state; serialize the tests that arm them and
-    // always restore the disarmed default (same pattern as the trace
-    // tests' gate).
-    static GATE: Mutex<()> = Mutex::new(());
+    // Rules armed here belong to the test's own thread, so the tests
+    // need no gate even though libtest runs them concurrently.
 
     #[test]
     fn disarmed_is_a_no_op() {
-        let _g = GATE.lock().unwrap();
         disarm_failpoints();
         for _ in 0..3 {
             assert!(failpoint("anything").is_ok());
@@ -183,7 +200,6 @@ mod tests {
 
     #[test]
     fn err_fires_on_the_nth_hit_once() {
-        let _g = GATE.lock().unwrap();
         arm_failpoints("io.write=err@3").unwrap();
         assert!(failpoint("io.write").is_ok(), "hit 1 passes");
         assert!(failpoint("other").is_ok(), "unrelated names never fire");
@@ -196,7 +212,6 @@ mod tests {
 
     #[test]
     fn multiple_rules_fire_independently() {
-        let _g = GATE.lock().unwrap();
         arm_failpoints("a=err; b=err@2").unwrap();
         assert!(failpoint("b").is_ok());
         assert!(failpoint("a").is_err());
@@ -206,7 +221,6 @@ mod tests {
 
     #[test]
     fn rearming_replaces_rules_and_empty_spec_disarms() {
-        let _g = GATE.lock().unwrap();
         arm_failpoints("a=err").unwrap();
         arm_failpoints("b=err").unwrap();
         assert!(failpoint("a").is_ok(), "old rules are gone");
@@ -218,7 +232,6 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
-        let _g = GATE.lock().unwrap();
         for bad in ["nameonly", "=err", "a=explode", "a=err@0", "a=err@x", "a=kill@-1"] {
             assert!(arm_failpoints(bad).is_err(), "spec `{bad}` must be rejected");
         }
@@ -228,11 +241,34 @@ mod tests {
 
     #[test]
     fn kill_and_hang_specs_parse() {
-        let _g = GATE.lock().unwrap();
         arm_failpoints("shard.commit=kill@7; atomic.fsync=hang").unwrap();
         // Don't hit them (that would abort the test runner) — just check
         // they armed and then disarm.
         assert!(failpoint("unrelated").is_ok());
         disarm_failpoints();
+    }
+
+    #[test]
+    fn thread_rules_stay_on_their_thread() {
+        arm_failpoints("scoped.site=err").unwrap();
+        let other = thread::spawn(|| failpoint("scoped.site").is_ok()).join().unwrap();
+        assert!(other, "another thread neither fires nor consumes the rule");
+        assert!(failpoint("scoped.site").is_err(), "the arming thread still fires it");
+        // Disarming on another thread leaves this thread's rules alone.
+        arm_failpoints("scoped.site=err").unwrap();
+        thread::spawn(disarm_failpoints).join().unwrap();
+        assert!(failpoint("scoped.site").is_err());
+        disarm_failpoints();
+    }
+
+    #[test]
+    fn process_wide_rules_fire_on_any_thread() {
+        arm("global.site=err@2", None).unwrap();
+        assert!(failpoint("global.site").is_ok(), "hit 1 passes");
+        // A thread-scoped disarm does not clear a process-wide rule.
+        disarm_failpoints();
+        let second = thread::spawn(|| failpoint("global.site").is_err()).join().unwrap();
+        assert!(second, "the 2nd hit fires, whichever thread makes it");
+        arm("", None).unwrap();
     }
 }

@@ -107,8 +107,6 @@ mod tests {
     use super::*;
     use crate::failpoint::{arm_failpoints, disarm_failpoints};
 
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefender-fsio-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -127,7 +125,6 @@ mod tests {
 
     #[test]
     fn writes_and_overwrites_leaving_no_tmp() {
-        let _g = GATE.lock().unwrap();
         disarm_failpoints();
         let dir = scratch_dir("roundtrip");
         let path = dir.join("artifact.json");
@@ -141,7 +138,6 @@ mod tests {
 
     #[test]
     fn injected_failure_preserves_old_bytes_and_cleans_tmp() {
-        let _g = GATE.lock().unwrap();
         let dir = scratch_dir("inject");
         let path = dir.join("artifact.json");
         write_atomic(&path, b"committed").unwrap();
@@ -182,7 +178,6 @@ mod tests {
 
     #[test]
     fn rejects_pathless_targets() {
-        let _g = GATE.lock().unwrap();
         disarm_failpoints();
         assert!(write_atomic(Path::new("/"), b"x").is_err());
     }

@@ -59,25 +59,24 @@
 //!   --trace-out PATH    trace JSONL destination (requires --trace)
 //!
 //! multi-process campaigns (EXPERIMENTS.md "Multi-process campaigns"):
-//!   sweep work DIR [--threads N] [--lease-ttl-ms MS] [--sock PATH]
-//!                  [--worker-id K] [--quiet]
+//!   sweep work DIR [--threads N] [--lease-ttl-ms MS] [--quiet]
 //!                       one worker: claim-execute-commit over DIR's
 //!                       manifest until every shard is committed. Safe
 //!                       to run N at once — shards are guarded by
 //!                       heartbeat leases under DIR/leases/, stale
-//!                       leases are broken, and artifacts stay
-//!                       byte-identical to a 1-process run
+//!                       leases (or a dead holder's) are broken, and
+//!                       artifacts stay byte-identical to a 1-process run
 //!   sweep serve DIR --workers N [--worker-threads N] [--restart-budget N]
 //!                  [--lease-ttl-ms MS] [--stall-timeout-ms MS]
 //!                  [--worker-failpoints SPEC] [--quiet] [grid flags]
-//!                       spawn and supervise N `sweep work` children
-//!                       over a Unix socket: restarts dead workers
-//!                       (within the budget, then degrades), kills
-//!                       stalled fleets, heals leftovers in-process,
-//!                       writes the final artifacts. Grid/--seed/
-//!                       --shard-size flags initialize DIR when it has
-//!                       no manifest yet; an existing manifest fixes
-//!                       the grid and rejects them
+//!                       spawn and supervise N `sweep work` children:
+//!                       restarts dead workers (within the budget, then
+//!                       degrades), kills the fleet when DIR shows no
+//!                       progress for the stall timeout, heals leftovers
+//!                       in-process, writes the final artifacts.
+//!                       Grid/--seed/--shard-size flags initialize DIR
+//!                       when it has no manifest yet; an existing
+//!                       manifest fixes the grid and rejects them
 //! ```
 //!
 //! Leakage campaigns (`--leakage`) share the noise / cross-core /
@@ -384,13 +383,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// Writes the final campaign artifacts (sweep + leakage when present)
-/// atomically into `out`, returning the paths written. Every artifact
-/// write in this binary goes through [`write_atomic`] — a crash leaves
-/// either the old bytes or the new bytes, never a torn file.
-fn write_report_artifacts(
-    out: &std::path::Path,
-    report: &SweepReport,
-) -> Result<Vec<std::path::PathBuf>, String> {
+/// atomically into `out`, returning the paths written as one
+/// comma-separated list. Every artifact write in this binary goes
+/// through [`write_atomic`] — a crash leaves either the old bytes or the
+/// new bytes, never a torn file.
+fn write_report_artifacts(out: &std::path::Path, report: &SweepReport) -> Result<String, String> {
     let mut pairs = vec![("sweep.json", report.to_json()), ("sweep.csv", report.to_csv())];
     if report.has_leakage() {
         pairs.push(("leakage.json", report.leakage_json()));
@@ -400,9 +397,9 @@ fn write_report_artifacts(
     for (name, body) in pairs {
         let path = out.join(name);
         write_atomic(&path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        wrote.push(path);
+        wrote.push(path.display().to_string());
     }
-    Ok(wrote)
+    Ok(wrote.join(", "))
 }
 
 /// Validates the output directory *before* running anything: hours of
@@ -446,7 +443,7 @@ fn main() -> ExitCode {
             eprintln!("             [--shard-size N] [--resume DIR]");
             eprintln!("             [--list] [--quiet] [--progress] [--obs] [--obs-out PATH]");
             eprintln!("             [--trace] [--trace-out PATH]");
-            eprintln!("       sweep work DIR [--threads N] [--lease-ttl-ms MS] [--sock PATH]");
+            eprintln!("       sweep work DIR [--threads N] [--lease-ttl-ms MS] [--quiet]");
             eprintln!("       sweep serve DIR --workers N [--worker-threads N] [grid flags]");
             return if e == "help" { ExitCode::SUCCESS } else { ExitCode::FAILURE };
         }
@@ -590,10 +587,7 @@ fn main() -> ExitCode {
         report.results.iter().filter(|r| r.is_leakage()).count(),
         report.results.iter().filter(|r| r.leaked.is_none() && !r.is_leakage()).count(),
     );
-    println!(
-        "wrote {}",
-        wrote.iter().map(|p| p.display().to_string()).collect::<Vec<_>>().join(", ")
-    );
+    println!("wrote {wrote}");
 
     // The obs/trace flags conflict with --shard-size/--resume at parse
     // time, so `obs` is always present on these paths.
@@ -650,25 +644,19 @@ fn main() -> ExitCode {
 }
 
 /// The `work`/`serve` subcommands — the multi-process campaign modes.
-/// Unix-only: worker telemetry rides a Unix domain socket.
-#[cfg(unix)]
 mod subcmd {
-    use std::io::Write as _;
-    use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
     use std::process::ExitCode;
     use std::time::Duration;
 
     use prefender_sweep::{
-        done_line, event_line, hello_line, init_campaign, load_manifest, serve_campaign,
-        work_campaign, LeaseConfig, ServeOptions, SweepOptions, WorkEvent, WorkOptions,
-        MANIFEST_NAME,
+        init_campaign, load_manifest, serve_campaign, work_campaign, LeaseConfig, ServeOptions,
+        SweepOptions, WorkEvent, WorkOptions, MANIFEST_NAME,
     };
 
     use super::{ensure_writable_dir, parse_args, write_report_artifacts};
 
-    const WORK_USAGE: &str = "usage: sweep work DIR [--threads N] [--lease-ttl-ms MS] \
-                              [--sock PATH] [--worker-id K] [--quiet]";
+    const WORK_USAGE: &str = "usage: sweep work DIR [--threads N] [--lease-ttl-ms MS] [--quiet]";
     const SERVE_USAGE: &str = "usage: sweep serve DIR --workers N [--worker-threads N] \
                                [--restart-budget N] [--lease-ttl-ms MS] [--stall-timeout-ms MS] \
                                [--worker-failpoints SPEC] [--quiet] [grid flags when creating]";
@@ -677,8 +665,6 @@ mod subcmd {
         pub(super) dir: PathBuf,
         pub(super) threads: usize,
         pub(super) ttl_ms: u64,
-        pub(super) sock: Option<PathBuf>,
-        pub(super) worker_id: usize,
         pub(super) quiet: bool,
     }
 
@@ -688,14 +674,8 @@ mod subcmd {
             Some(d) if !d.starts_with("--") => d.into(),
             _ => return Err("work needs a campaign DIR as its first argument".into()),
         };
-        let mut args = WorkArgs {
-            dir,
-            threads: 1,
-            ttl_ms: LeaseConfig::default().ttl_ms,
-            sock: None,
-            worker_id: 0,
-            quiet: false,
-        };
+        let mut args =
+            WorkArgs { dir, threads: 1, ttl_ms: LeaseConfig::default().ttl_ms, quiet: false };
         while let Some(a) = it.next() {
             let mut val =
                 |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
@@ -708,12 +688,6 @@ mod subcmd {
                     args.ttl_ms = val("--lease-ttl-ms")?
                         .parse()
                         .map_err(|_| "invalid --lease-ttl-ms".to_string())?
-                }
-                "--sock" => args.sock = Some(val("--sock")?.into()),
-                "--worker-id" => {
-                    args.worker_id = val("--worker-id")?
-                        .parse()
-                        .map_err(|_| "invalid --worker-id".to_string())?
                 }
                 "--quiet" => args.quiet = true,
                 other => return Err(format!("unknown work option `{other}`")),
@@ -731,47 +705,24 @@ mod subcmd {
                 return ExitCode::FAILURE;
             }
         };
-        // Telemetry is best-effort: a worker without (or outliving) its
-        // supervisor still finishes the campaign.
-        let mut sock = wargs.sock.as_ref().and_then(|p| match UnixStream::connect(p) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!(
-                    "sweep: work: no supervisor at {}: {e} (continuing without telemetry)",
-                    p.display()
-                );
-                None
-            }
-        });
-        if let Some(s) = &mut sock {
-            let _ = writeln!(s, "{}", hello_line(wargs.worker_id, std::process::id()));
-        }
         let opts =
             WorkOptions { threads: wargs.threads, lease: LeaseConfig::with_ttl_ms(wargs.ttl_ms) };
         let quiet = wargs.quiet;
-        let mut on_event = |e: &WorkEvent| {
-            if let Some(s) = &mut sock {
-                let _ = writeln!(s, "{}", event_line(e));
-            }
-            match e {
-                WorkEvent::Broke { shard, holder_pid, age_ms } => eprintln!(
-                    "sweep: work: broke stale lease on shard {shard} \
+        let mut on_event = |e: &WorkEvent| match e {
+            WorkEvent::Broke { shard, holder_pid, age_ms } => eprintln!(
+                "sweep: work: broke stale lease on shard {shard} \
                      (holder pid {holder_pid}, heartbeat {age_ms}ms old)"
-                ),
-                WorkEvent::Quarantined { shard, why } => {
-                    eprintln!("sweep: work: quarantined invalid shard {shard}: {why}")
-                }
-                WorkEvent::Committed { shard, done, total } if !quiet => {
-                    eprintln!("sweep: work: committed shard {shard} ({done}/{total})")
-                }
-                _ => {}
+            ),
+            WorkEvent::Quarantined { shard, why } => {
+                eprintln!("sweep: work: quarantined invalid shard {shard}: {why}")
             }
+            WorkEvent::Committed { shard, done, total } if !quiet => {
+                eprintln!("sweep: work: committed shard {shard} ({done}/{total})")
+            }
+            _ => {}
         };
         match work_campaign(&wargs.dir, &opts, &mut on_event) {
             Ok((report, _, summary)) => {
-                if let Some(s) = &mut sock {
-                    let _ = writeln!(s, "{}", done_line(&summary));
-                }
                 eprintln!("sweep: work: {}", summary.render());
                 // Every worker reaching this point holds the complete
                 // converged report; concurrent writers commit identical
@@ -779,14 +730,7 @@ mod subcmd {
                 match write_report_artifacts(&wargs.dir, &report) {
                     Ok(wrote) => {
                         if !quiet {
-                            println!(
-                                "wrote {}",
-                                wrote
-                                    .iter()
-                                    .map(|p| p.display().to_string())
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            );
+                            println!("wrote {wrote}");
                         }
                         ExitCode::SUCCESS
                     }
@@ -969,23 +913,15 @@ mod subcmd {
             Ok((report, _, summary)) => {
                 for w in &summary.per_worker {
                     eprintln!(
-                        "sweep: serve: worker {}: {} shards (pids {})",
+                        "sweep: serve: worker {}: pids {}",
                         w.worker,
-                        w.committed,
                         w.pids.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(",")
                     );
                 }
                 eprintln!("sweep: serve: {}", summary.render());
                 match write_report_artifacts(&sargs.dir, &report) {
                     Ok(wrote) => {
-                        println!(
-                            "wrote {}",
-                            wrote
-                                .iter()
-                                .map(|p| p.display().to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
+                        println!("wrote {wrote}");
                         ExitCode::SUCCESS
                     }
                     Err(e) => {
@@ -1076,7 +1012,6 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     mod subcmd {
         use crate::subcmd::{parse_serve, parse_work};
 
@@ -1086,15 +1021,11 @@ mod tests {
 
         #[test]
         fn work_parses_its_flags_and_requires_a_dir() {
-            let args = parse_work(&argv(
-                "camp --threads 2 --lease-ttl-ms 750 --sock camp/serve.sock --worker-id 3 --quiet",
-            ))
-            .expect("valid work line");
+            let args = parse_work(&argv("camp --threads 2 --lease-ttl-ms 750 --quiet"))
+                .expect("valid work line");
             assert_eq!(args.dir, std::path::Path::new("camp"));
             assert_eq!(args.threads, 2);
             assert_eq!(args.ttl_ms, 750);
-            assert_eq!(args.sock.as_deref(), Some(std::path::Path::new("camp/serve.sock")));
-            assert_eq!(args.worker_id, 3);
             assert!(args.quiet);
             for bad in ["", "--threads 2", "camp --bogus"] {
                 assert!(parse_work(&argv(bad)).is_err(), "`{bad}` must be rejected");

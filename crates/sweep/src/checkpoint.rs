@@ -1,24 +1,28 @@
-//! Checkpointed campaigns: the crash-safe execution loop over a shard
-//! plan, and the manifest that makes a campaign directory self-describing.
+//! Checkpointed campaigns: the manifest that makes a campaign directory
+//! self-describing, and the single-process entry points to the one
+//! durable executor, [`crate::work_campaign`].
 //!
 //! ## Layout of a campaign directory
 //!
 //! ```text
 //! <dir>/campaign.manifest      identity: grid spec, seed, shard size
 //! <dir>/shards/shard-*.psd     one checksummed artifact per shard
+//! <dir>/leases/shard-*.lease   claims on shards in flight (crate::lease)
 //! <dir>/quarantine/            shards that failed validation on resume
 //! <dir>/sweep.json, sweep.csv  final artifacts (written by the CLI)
 //! ```
 //!
-//! [`run_sharded`] writes the manifest first (atomically), then runs
-//! shards **in shard order**, committing each through the
-//! write-tmp → fsync → rename protocol — so at any kill point the
-//! directory holds the manifest plus a prefix-closed set of complete,
-//! checksummed shards. [`resume_sharded`] reloads the manifest,
-//! validates every shard file against it (complete → loaded and
-//! skipped; truncated/corrupt/foreign → moved to `quarantine/` and
-//! re-run), executes what is missing, and merges everything in scenario
-//! index order.
+//! [`run_sharded`] writes the manifest first (atomically), then hands the
+//! directory to [`resume_sharded`], which runs [`crate::work_campaign`] —
+//! the claim/execute/commit loop `sweep work` runs — as the only worker.
+//! It walks the plan in shard order: a shard that validates is loaded
+//! and skipped; a truncated/corrupt/foreign one is moved to
+//! `quarantine/` and re-run; a missing one is run. Each shard commits
+//! through the write-tmp → fsync → rename protocol, so at any kill point
+//! the directory holds the manifest plus a prefix-closed set of
+//! complete, checksummed shards, and at most the lease of the shard in
+//! flight — whose holder is then dead, so the next run breaks it at
+//! once. The merged report is in scenario index order.
 //!
 //! ## Why resume-equality is exact
 //!
@@ -38,17 +42,16 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use prefender_obs::{
-    atomic_tmp_pid, failpoint, is_atomic_tmp, pid_alive, write_atomic, ObsCounters,
-};
+use prefender_obs::{atomic_tmp_pid, is_atomic_tmp, pid_alive, write_atomic, ObsCounters};
 
 use prefender_leakage::ResampleOptions;
 
 use crate::artifact::{SweepReport, REPORT_SCHEMA_VERSION};
 use crate::engine::{parallel_map, SweepOptions};
 use crate::grid::SweepGrid;
+use crate::lease::{work_campaign, WorkEvent, WorkOptions};
 use crate::scenario::{run_scenario_with, Scenario, ScenarioResult};
-use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader, ShardPlan};
+use crate::shard::{fnv1a64, shard_file_name, ShardHeader, ShardPlan};
 
 /// Manifest file name inside a campaign directory.
 pub const MANIFEST_NAME: &str = "campaign.manifest";
@@ -115,6 +118,56 @@ pub(crate) fn io_err(path: &Path) -> impl FnOnce(io::Error) -> CampaignError + '
     move |source| CampaignError::Io { path: path.to_path_buf(), source }
 }
 
+/// Appends the `check=<fnv1a64>` line that seals a manifest or lease
+/// body.
+pub(crate) fn seal(mut body: String) -> String {
+    body.push_str(&format!("check={:016x}\n", fnv1a64(body.as_bytes())));
+    body
+}
+
+/// Opens a [`seal`]ed text: verifies the trailing checksum line and the
+/// magic first line, and returns the body's remaining lines.
+pub(crate) fn open_sealed<'t>(text: &'t str, magic: &str) -> Result<std::str::Lines<'t>, String> {
+    let body_len = text.rfind("\ncheck=").map(|p| p + 1).ok_or("no checksum line (truncated?)")?;
+    let (body, check_line) = text.split_at(body_len);
+    let declared = check_line
+        .strip_prefix("check=")
+        .and_then(|s| u64::from_str_radix(s.trim_end(), 16).ok())
+        .ok_or("bad checksum line")?;
+    let actual = fnv1a64(body.as_bytes());
+    if actual != declared {
+        return Err(format!("checksum mismatch ({actual:016x} != {declared:016x})"));
+    }
+    let mut lines = body.lines();
+    if lines.next() != Some(magic) {
+        return Err("bad magic".into());
+    }
+    Ok(lines)
+}
+
+/// The value of the next sealed line, which must read `key=<value>`.
+pub(crate) fn sealed_field<'t>(
+    lines: &mut std::str::Lines<'t>,
+    key: &str,
+) -> Result<&'t str, String> {
+    lines
+        .next()
+        .and_then(|l| l.strip_prefix(key))
+        .and_then(|l| l.strip_prefix('='))
+        .ok_or_else(|| format!("missing `{key}` line"))
+}
+
+/// `value` if it re-encodes to exactly `text`. The checksum seals a
+/// body but not its spelling (`+7`, `007`, upper-case hex, `\r\n` all
+/// parse), so a decoder accepts only its encoder's own bytes.
+pub(crate) fn canonical<T>(value: T, text: &str, encode: fn(&T) -> String) -> Result<T, String> {
+    if encode(&value) == text {
+        Ok(value)
+    } else {
+        Err("not in canonical form".into())
+    }
+}
+
 /// The identity of a sharded campaign, persisted as
 /// `campaign.manifest` before any shard runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,53 +181,36 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// The manifest's serialized form: line-oriented `key=value` with a
-    /// trailing self-checksum, so a torn or hand-edited manifest is
-    /// detected rather than trusted.
-    pub fn encode(&self) -> String {
-        let mut out = format!(
+    fn body(&self) -> String {
+        format!(
             "{MANIFEST_MAGIC}\nschema={REPORT_SCHEMA_VERSION}\nseed={}\nscenarios={}\n\
              shard_size={}\ngrid={}\n",
             self.campaign_seed,
             self.grid.len(),
             self.shard_size,
             self.grid.to_spec(),
-        );
-        out.push_str(&format!("check={:016x}\n", fnv1a64(out.as_bytes())));
-        out
+        )
     }
 
-    /// Parses and validates [`Manifest::encode`]'s form.
+    /// The manifest's serialized form: line-oriented `key=value` with a
+    /// trailing self-checksum, so a torn or hand-edited manifest is
+    /// detected rather than trusted.
+    pub fn encode(&self) -> String {
+        seal(self.body())
+    }
+
+    /// Parses and validates [`Manifest::encode`]'s form. Total: no input
+    /// panics, and only the exact bytes `encode` writes decode.
     ///
     /// # Errors
     ///
     /// Returns a message describing the first thing wrong: bad checksum,
     /// wrong magic, an incompatible schema version, an unparsable grid
-    /// spec, or a scenario count that no longer matches the grid.
+    /// spec, a scenario count that no longer matches the grid, or a
+    /// non-canonical spelling.
     pub fn decode(text: &str) -> Result<Manifest, String> {
-        let body_len =
-            text.rfind("\ncheck=").map(|p| p + 1).ok_or("no checksum line (truncated?)")?;
-        let (body, check_line) = text.split_at(body_len);
-        let declared = check_line
-            .strip_prefix("check=")
-            .and_then(|s| u64::from_str_radix(s.trim_end(), 16).ok())
-            .ok_or("bad checksum line")?;
-        let actual = fnv1a64(body.as_bytes());
-        if actual != declared {
-            return Err(format!("checksum mismatch ({actual:016x} != {declared:016x})"));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(MANIFEST_MAGIC) {
-            return Err("bad magic".into());
-        }
-        let mut field = |key: &str| -> Result<String, String> {
-            lines
-                .next()
-                .and_then(|l| l.strip_prefix(key))
-                .and_then(|l| l.strip_prefix('='))
-                .map(String::from)
-                .ok_or_else(|| format!("missing `{key}` line"))
-        };
+        let mut lines = open_sealed(text, MANIFEST_MAGIC)?;
+        let mut field = |key: &str| sealed_field(&mut lines, key);
         let schema: u32 = field("schema")?.parse().map_err(|_| "bad schema".to_string())?;
         if schema != REPORT_SCHEMA_VERSION {
             return Err(format!(
@@ -190,23 +226,22 @@ impl Manifest {
         if shard_size == 0 {
             return Err("shard_size must be at least 1".into());
         }
-        let grid = SweepGrid::from_spec(&field("grid")?)?;
+        let grid = SweepGrid::from_spec(field("grid")?)?;
         if grid.len() != scenarios {
             return Err(format!(
                 "grid enumerates {} scenarios, manifest recorded {scenarios}",
                 grid.len()
             ));
         }
-        Ok(Manifest { campaign_seed, shard_size, grid })
+        let manifest = Manifest { campaign_seed, shard_size, grid };
+        canonical(manifest, text, Manifest::encode)
     }
 
     /// The campaign fingerprint every shard header must carry: the
     /// checksum of the manifest body (grid spec + seed + schema), i.e.
     /// the same value as the manifest's own `check` line.
     pub fn fingerprint(&self) -> u64 {
-        let encoded = self.encode();
-        let body_len = encoded.rfind("\ncheck=").expect("encode always appends a check line") + 1;
-        fnv1a64(&encoded.as_bytes()[..body_len])
+        fnv1a64(self.body().as_bytes())
     }
 
     /// The deterministic shard plan this manifest implies.
@@ -228,9 +263,10 @@ pub struct ResumeStats {
     pub quarantined: Vec<(usize, String)>,
     /// Shards executed this invocation.
     pub executed: usize,
-    /// The campaign-layer event counters of this invocation
-    /// (`shard_quarantines` here; the lease fields stay zero on the
-    /// single-process paths — `work_campaign` is where they move).
+    /// The campaign-layer event counters of this invocation: the
+    /// single-process path runs the lease protocol too, so claims,
+    /// renewals, breaks and reclaims move here as well as
+    /// `shard_quarantines`.
     pub counters: ObsCounters,
 }
 
@@ -263,8 +299,9 @@ pub fn run_sharded(
     opts: &SweepOptions,
     shard_size: usize,
 ) -> Result<(SweepReport, ResumeStats), CampaignError> {
-    let manifest = init_campaign(dir, grid, opts, shard_size)?;
-    execute(dir, &manifest, opts.threads, false)
+    init_campaign(dir, grid, opts, shard_size)?;
+    let (report, _, stats) = resume_sharded(dir, opts.threads)?;
+    Ok((report, stats))
 }
 
 /// Creates a campaign directory without running anything: writes the
@@ -320,81 +357,40 @@ pub fn load_manifest(dir: &Path) -> Result<Manifest, CampaignError> {
 /// the bytes-producing state a fresh uninterrupted run reaches.
 /// Idempotent: resuming a complete campaign re-runs nothing.
 ///
+/// This is [`work_campaign`] with the default lease policy and `threads`
+/// per shard, run as the campaign's only worker.
+///
 /// # Errors
 ///
 /// [`CampaignError::NotACampaign`] when `dir` has no manifest,
-/// [`CampaignError::Manifest`] when it has a corrupt/incompatible one.
+/// [`CampaignError::Manifest`] when it has a corrupt/incompatible one,
+/// or any I/O failure (including injected faults) committing a shard.
 pub fn resume_sharded(
     dir: &Path,
     threads: usize,
 ) -> Result<(SweepReport, Manifest, ResumeStats), CampaignError> {
-    let manifest = load_manifest(dir)?;
-    fs::create_dir_all(dir.join(SHARD_DIR)).map_err(io_err(dir))?;
-    let (report, stats) = execute(dir, &manifest, threads, true)?;
+    let mut quarantined = Vec::new();
+    let opts = WorkOptions { threads, ..WorkOptions::default() };
+    let (report, manifest, summary) = work_campaign(dir, &opts, &mut |event| {
+        if let WorkEvent::Quarantined { shard, why } = event {
+            quarantined.push((*shard, why.clone()));
+        }
+    })?;
+    let stats = ResumeStats {
+        shards: summary.shards,
+        skipped: summary.loaded,
+        quarantined,
+        executed: summary.committed,
+        counters: summary.counters,
+    };
     Ok((report, manifest, stats))
 }
 
-/// The shared execution loop: walk the plan in shard order, reuse what
-/// validates (resume mode), re-run the rest, merge in index order.
-fn execute(
-    dir: &Path,
-    manifest: &Manifest,
-    threads: usize,
-    resume: bool,
-) -> Result<(SweepReport, ResumeStats), CampaignError> {
-    let shard_dir = dir.join(SHARD_DIR);
-    sweep_stale_tmps(&shard_dir);
-    let scenarios = manifest.grid.enumerate();
-    let resample = manifest.grid.resample();
-    let plan = manifest.plan();
-    let fingerprint = manifest.fingerprint();
-    let mut stats = ResumeStats { shards: plan.n_shards(), ..ResumeStats::default() };
-    let mut results: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
-
-    for shard in 0..plan.n_shards() {
-        let range = plan.range(shard);
-        let header = ShardHeader {
-            shard,
-            start: range.start,
-            end: range.end,
-            campaign_seed: manifest.campaign_seed,
-            fingerprint,
-        };
-        let path = shard_dir.join(shard_file_name(shard));
-        if resume && path.exists() {
-            match fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| decode_shard(&text, &header))
-            {
-                Ok(loaded) => {
-                    results.extend(loaded);
-                    stats.skipped += 1;
-                    continue;
-                }
-                Err(why) => {
-                    quarantine(dir, &path, shard).map_err(io_err(&path))?;
-                    stats.counters.shard_quarantines += 1;
-                    stats.quarantined.push((shard, why));
-                }
-            }
-        }
-        let shard_results =
-            run_shard_range(&scenarios, range, manifest.campaign_seed, &resample, threads);
-        failpoint("shard.write").map_err(io_err(&path))?;
-        write_atomic(&path, encode_shard(&header, &shard_results)).map_err(io_err(&path))?;
-        failpoint("shard.commit").map_err(io_err(&path))?;
-        results.extend(shard_results);
-        stats.executed += 1;
-    }
-    debug_assert!(results.iter().enumerate().all(|(k, r)| r.index == k));
-    Ok((SweepReport { campaign_seed: manifest.campaign_seed, results }, stats))
-}
-
 /// Runs one shard's scenario range and returns its results in index
-/// order — the **single** execution path every campaign mode shares
-/// (in-process `run_sharded`/`resume_sharded` and the multi-process
-/// worker loop in [`crate::lease`]), which is what makes a shard's
-/// bytes identical no matter which process computed them.
+/// order — the **single** execution path of [`work_campaign`], whether
+/// `resume_sharded` or a `sweep work` process drives it, which is what
+/// makes a shard's bytes identical no matter which process computed
+/// them.
 ///
 /// Scheduling is config-major within the shard for runner reuse;
 /// results are pure functions of each scenario, so the restored index
@@ -463,6 +459,7 @@ pub(crate) fn sweep_stale_tmps(shard_dir: &Path) {
 mod tests {
     use super::*;
     use crate::engine::run_sweep;
+    use crate::lease::{lease_file_name, LeaseInfo, LEASE_DIR};
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefender-ckpt-{tag}-{}", std::process::id()));
@@ -616,7 +613,6 @@ mod tests {
 
     #[test]
     fn injected_io_failure_surfaces_and_leaves_a_resumable_directory() {
-        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap();
         let dir = scratch("inject");
         let grid = small_grid();
         let opts = SweepOptions { threads: 1, campaign_seed: 5 };
@@ -632,6 +628,47 @@ mod tests {
         assert_eq!(resumed, reference);
         assert_eq!(stats.skipped, 1);
         assert_eq!(stats.executed, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_breaks_a_dead_runs_fresh_lease_without_waiting() {
+        if !Path::new("/proc").is_dir() {
+            return; // liveness is unknowable here; only the TTL rule applies
+        }
+        let dir = scratch("deadlease");
+        let grid = small_grid();
+        let opts = SweepOptions { threads: 1, campaign_seed: 11 };
+        run_sharded(&dir, &grid, &opts, 2).unwrap();
+        // What a run killed mid-commit leaves: a torn shard under its
+        // lease. The heartbeat reads a minute ahead, so no TTL can free
+        // the lease; only its holder being dead can.
+        let victim = dir.join(SHARD_DIR).join(shard_file_name(1));
+        let bytes = fs::read(&victim).unwrap();
+        fs::write(&victim, &bytes[..bytes.len() - 5]).unwrap();
+        let now_ms =
+            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_millis()
+                as u64;
+        let lease = LeaseInfo {
+            pid: 4_000_000_000,
+            token: 0x9,
+            fingerprint: load_manifest(&dir).unwrap().fingerprint(),
+            shard: 1,
+            heartbeat_ms: now_ms + 60_000,
+        };
+        fs::write(dir.join(LEASE_DIR).join(lease_file_name(1)), lease.encode()).unwrap();
+        let started = std::time::Instant::now();
+        let (resumed, _, stats) = resume_sharded(&dir, 1).unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(30),
+            "resume waited on a dead holder's lease"
+        );
+        assert_eq!(resumed, run_sweep(&grid, &opts));
+        assert_eq!(stats.quarantined.len(), 1, "{:?}", stats.quarantined);
+        assert_eq!(stats.quarantined[0].0, 1);
+        assert_eq!((stats.skipped, stats.executed), (2, 1));
+        assert_eq!(stats.counters.lease_breaks, 1);
+        assert_eq!(stats.counters.lease_reclaims, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,13 +19,21 @@
 //!   rewrites the lease (atomically, token-checked) every
 //!   [`LeaseConfig::renew_ms`] to keep the heartbeat fresh.
 //! * **Break** — any worker may break a lease whose heartbeat is older
-//!   than [`LeaseConfig::ttl_ms`]: the holder is presumed dead. The
-//!   break is a rename to a unique `.broken.N` tombstone — rename is
-//!   atomic, so racing breakers elect exactly one winner, and the
-//!   tombstone preserves the dead holder's identity for forensics. An
-//!   *undecodable* lease (a claimer killed between `O_EXCL` create and
-//!   write) is breakable only once its mtime is older than the TTL,
-//!   which closes the read-a-partial-write race.
+//!   than [`LeaseConfig::ttl_ms`]: the holder is presumed dead. Where
+//!   liveness is knowable (`/proc` exists) a lease whose holder pid is
+//!   gone is stale at once, whatever its heartbeat says: a process
+//!   killed mid-shard leaves a freshly renewed lease, and resume should
+//!   not wait out the TTL for it. (A zombie still reads as alive until
+//!   reaped; the TTL covers that case. The pid is looked up on the
+//!   breaker's host, so a worker on another host sharing the directory
+//!   can lose its lease early — duplicate work, never wrong bytes, as
+//!   the next section shows.) The break is a rename to a
+//!   unique `.broken.N` tombstone — rename is atomic, so racing breakers
+//!   elect exactly one winner, and the tombstone preserves the dead
+//!   holder's identity for forensics. An *undecodable* lease (a claimer
+//!   killed between `O_EXCL` create and write) is breakable only once
+//!   its mtime is older than the TTL, which closes the
+//!   read-a-partial-write race.
 //! * **Release** — on commit the holder deletes its lease (token-checked).
 //!
 //! ## Why exclusivity is never load-bearing
@@ -54,14 +62,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use prefender_obs::{failpoint, write_atomic, ObsCounters};
+use prefender_obs::{failpoint, pid_alive, write_atomic, ObsCounters};
 
 use crate::artifact::SweepReport;
 use crate::checkpoint::{
-    io_err, load_manifest, quarantine, run_shard_range, shard_header, sweep_stale_tmps,
-    CampaignError, Manifest, SHARD_DIR,
+    canonical, io_err, load_manifest, open_sealed, quarantine, run_shard_range, seal, sealed_field,
+    shard_header, sweep_stale_tmps, CampaignError, Manifest, SHARD_DIR,
 };
 use crate::scenario::ScenarioResult;
 use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader};
@@ -131,52 +139,31 @@ impl LeaseInfo {
     /// same shape as the campaign manifest — a torn lease is detected,
     /// not trusted.
     pub fn encode(&self) -> String {
-        let mut out = format!(
+        seal(format!(
             "{LEASE_MAGIC}\npid={}\ntoken={:016x}\nfingerprint={:016x}\nshard={}\nheartbeat_ms={}\n",
             self.pid, self.token, self.fingerprint, self.shard, self.heartbeat_ms
-        );
-        out.push_str(&format!("check={:016x}\n", fnv1a64(out.as_bytes())));
-        out
+        ))
     }
 
-    /// Parses and validates [`LeaseInfo::encode`]'s form.
+    /// Parses and validates [`LeaseInfo::encode`]'s form. Total: no input
+    /// panics, and only the exact bytes `encode` writes decode.
     ///
     /// # Errors
     ///
     /// A message naming the first defect: missing/bad checksum, wrong
-    /// magic, or an unparsable field.
+    /// magic, an unparsable field, or a non-canonical spelling.
     pub fn decode(text: &str) -> Result<LeaseInfo, String> {
-        let body_len =
-            text.rfind("\ncheck=").map(|p| p + 1).ok_or("no checksum line (truncated?)")?;
-        let (body, check_line) = text.split_at(body_len);
-        let declared = check_line
-            .strip_prefix("check=")
-            .and_then(|s| u64::from_str_radix(s.trim_end(), 16).ok())
-            .ok_or("bad checksum line")?;
-        let actual = fnv1a64(body.as_bytes());
-        if actual != declared {
-            return Err(format!("checksum mismatch ({actual:016x} != {declared:016x})"));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(LEASE_MAGIC) {
-            return Err("bad magic".into());
-        }
-        let mut field = |key: &str| -> Result<String, String> {
-            lines
-                .next()
-                .and_then(|l| l.strip_prefix(key))
-                .and_then(|l| l.strip_prefix('='))
-                .map(String::from)
-                .ok_or_else(|| format!("missing `{key}` line"))
-        };
+        let mut lines = open_sealed(text, LEASE_MAGIC)?;
+        let mut field = |key: &str| sealed_field(&mut lines, key);
         let pid = field("pid")?.parse().map_err(|_| "bad pid".to_string())?;
-        let token = u64::from_str_radix(&field("token")?, 16).map_err(|_| "bad token")?;
+        let token = u64::from_str_radix(field("token")?, 16).map_err(|_| "bad token")?;
         let fingerprint =
-            u64::from_str_radix(&field("fingerprint")?, 16).map_err(|_| "bad fingerprint")?;
+            u64::from_str_radix(field("fingerprint")?, 16).map_err(|_| "bad fingerprint")?;
         let shard = field("shard")?.parse().map_err(|_| "bad shard".to_string())?;
         let heartbeat_ms =
             field("heartbeat_ms")?.parse().map_err(|_| "bad heartbeat_ms".to_string())?;
-        Ok(LeaseInfo { pid, token, fingerprint, shard, heartbeat_ms })
+        let info = LeaseInfo { pid, token, fingerprint, shard, heartbeat_ms };
+        canonical(info, text, LeaseInfo::encode)
     }
 }
 
@@ -227,7 +214,8 @@ enum Inspect {
 }
 
 /// Reads an existing lease and ages it. A lease carrying a foreign
-/// campaign fingerprint (stale reused directory) is immediately stale.
+/// campaign fingerprint (stale reused directory), or whose holder is
+/// known dead, is immediately stale.
 /// An undecodable lease (torn or mid-write) is aged by file mtime
 /// instead of its heartbeat, so a claimer killed between create and
 /// write is eventually collected but a claimer *currently* writing is
@@ -241,7 +229,8 @@ fn inspect(path: &Path, fingerprint: u64, cfg: &LeaseConfig) -> Inspect {
     match decoded {
         Ok(info) => {
             let age_ms = now_ms().saturating_sub(info.heartbeat_ms);
-            if age_ms > cfg.ttl_ms || info.fingerprint != fingerprint {
+            let holder_dead = Path::new("/proc").is_dir() && !pid_alive(info.pid);
+            if age_ms > cfg.ttl_ms || info.fingerprint != fingerprint || holder_dead {
                 Inspect::Stale { pid: info.pid, age_ms }
             } else {
                 Inspect::Fresh { pid: info.pid, age_ms }
@@ -399,36 +388,29 @@ impl Lease {
         let stop = Arc::new(AtomicBool::new(false));
         let renewals = Arc::new(AtomicU64::new(0));
         let lost = Arc::new(AtomicBool::new(false));
-        let renew_ms = cfg.renew_ms.max(1);
+        let renew = Duration::from_millis(cfg.renew_ms.max(1));
         let handle = {
             let (stop, renewals, lost) = (stop.clone(), renewals.clone(), lost.clone());
-            thread::spawn(move || {
-                'beat: loop {
-                    // Sleep in short slices so stop() returns promptly.
-                    let mut slept = 0;
-                    while slept < renew_ms {
-                        if stop.load(Ordering::Relaxed) {
-                            break 'beat;
-                        }
-                        let slice = (renew_ms - slept).min(10);
-                        thread::sleep(Duration::from_millis(slice));
-                        slept += slice;
+            thread::spawn(move || loop {
+                // Park until the renewal is due; stop() unparks at once.
+                let due = Instant::now() + renew;
+                while !stop.load(Ordering::Relaxed) && Instant::now() < due {
+                    thread::park_timeout(due.saturating_duration_since(Instant::now()));
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                match renewer.renew() {
+                    Ok(true) => {
+                        renewals.fetch_add(1, Ordering::Relaxed);
                     }
-                    if stop.load(Ordering::Relaxed) {
+                    Ok(false) => {
+                        lost.store(true, Ordering::Relaxed);
                         break;
                     }
-                    match renewer.renew() {
-                        Ok(true) => {
-                            renewals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(false) => {
-                            lost.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        // Stop renewing; the lease ages out and the
-                        // shard may be reclaimed — commit stays safe.
-                        Err(_) => break,
-                    }
+                    // Stop renewing; the lease ages out and the shard
+                    // may be reclaimed — commit stays safe.
+                    Err(_) => break,
                 }
             })
         };
@@ -452,6 +434,7 @@ impl Heartbeat {
     pub fn stop(mut self) -> (u64, bool) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         (self.renewals.load(Ordering::Relaxed), self.lost.load(Ordering::Relaxed))
@@ -461,6 +444,9 @@ impl Heartbeat {
 impl Drop for Heartbeat {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = &self.handle {
+            handle.thread().unpark();
+        }
     }
 }
 
@@ -480,7 +466,7 @@ impl Default for WorkOptions {
 }
 
 /// A progress event from the worker loop, for telemetry (the `sweep
-/// work` CLI forwards these over the supervisor socket).
+/// work` CLI prints them to stderr).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkEvent {
     /// Claimed a shard's lease.
@@ -512,11 +498,6 @@ pub enum WorkEvent {
         shard: usize,
         /// What validation rejected.
         why: String,
-    },
-    /// Every unfinished shard is held by a live peer; polling.
-    Waiting {
-        /// Shards not yet complete.
-        remaining: usize,
     },
 }
 
@@ -680,7 +661,6 @@ pub fn work_campaign(
                 break;
             }
             if !progressed {
-                on_event(&WorkEvent::Waiting { remaining });
                 thread::sleep(poll);
             }
         }
@@ -712,7 +692,6 @@ mod tests {
     use crate::checkpoint::init_campaign;
     use crate::engine::{run_sweep, SweepOptions};
     use crate::grid::SweepGrid;
-    use crate::testgate::FAILPOINT_GATE;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -810,6 +789,40 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_holders_fresh_lease_breaks_on_the_first_claim() {
+        if !Path::new("/proc").is_dir() {
+            return; // liveness is unknowable here; only the TTL rule applies
+        }
+        let dir = scratch("deadpid");
+        let lease_dir = dir.join(LEASE_DIR);
+        fs::create_dir_all(&lease_dir).unwrap();
+        let path = lease_dir.join(lease_file_name(0));
+        let cfg = LeaseConfig::default();
+        let fresh = |pid| LeaseInfo {
+            pid,
+            token: 0x5,
+            fingerprint: 0xF00D,
+            shard: 0,
+            heartbeat_ms: now_ms(),
+        };
+        let mut counters = ObsCounters::new();
+        let mut sink = |_: WorkEvent| {};
+        // A live holder (this process) keeps its lease...
+        let me = std::process::id();
+        fs::write(&path, fresh(me).encode()).unwrap();
+        match claim_shard(&dir, 0, 0xF00D, &cfg, &mut counters, &mut sink).unwrap() {
+            Claim::Held { pid, .. } => assert_eq!(pid, me),
+            other => panic!("a live holder's lease must hold: {other:?}"),
+        }
+        // ...while a dead holder's equally fresh lease breaks at once.
+        fs::write(&path, fresh(4_000_000_000).encode()).unwrap();
+        let claim = claim_shard(&dir, 0, 0xF00D, &cfg, &mut counters, &mut sink).unwrap();
+        assert!(matches!(claim, Claim::Claimed { broke: true, .. }), "{claim:?}");
+        assert_eq!(counters.lease_breaks, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn torn_leases_break_only_after_the_ttl() {
         let dir = scratch("torn");
         let lease_dir = dir.join(LEASE_DIR);
@@ -889,7 +902,6 @@ mod tests {
 
     #[test]
     fn lease_failpoints_inject_errors() {
-        let _g = FAILPOINT_GATE.lock().unwrap();
         let dir = scratch("failpoints");
         fs::create_dir_all(&dir).unwrap();
         let cfg = LeaseConfig::with_ttl_ms(20);

@@ -41,7 +41,6 @@ mod grid;
 mod lease;
 pub mod perf;
 mod scenario;
-#[cfg(unix)]
 mod serve;
 mod shard;
 
@@ -63,11 +62,7 @@ pub use scenario::{
     basic_tag, run_scenario, run_scenario_with, run_scenario_with_obs, Payload, Scenario,
     ScenarioResult,
 };
-#[cfg(unix)]
-pub use serve::{
-    done_line, event_line, hello_line, serve_campaign, ServeOptions, ServeSummary, WorkerReport,
-    SERVE_SOCK,
-};
+pub use serve::{serve_campaign, ServeOptions, ServeSummary, WorkerReport};
 pub use shard::{
     decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader, ShardPlan, SHARD_MAGIC,
 };
@@ -76,10 +71,3 @@ pub use shard::{
 // crate.
 pub use prefender_attacks::{AttackKind, Basic, DefenseConfig, NoiseSpec};
 pub use prefender_leakage::{NullTest, ResampleOptions};
-
-/// Failpoints are process-global; tests across this crate's modules
-/// that arm them serialize on this gate.
-#[cfg(test)]
-pub(crate) mod testgate {
-    pub static FAILPOINT_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-}

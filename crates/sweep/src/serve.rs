@@ -1,44 +1,43 @@
-//! `sweep serve`: spawn and supervise N `sweep work` child processes
-//! over a Unix domain socket.
+//! `sweep serve`: spawn and supervise N `sweep work` child processes.
 //!
-//! The supervisor owns no shard state — coordination lives entirely in
-//! the lease files ([`crate::lease`]), so the socket is *telemetry
-//! only*: workers report claims, commits, breaks and quarantines as
-//! line-oriented text; the supervisor renders progress, keeps
-//! per-worker shard counts, restarts children that die (up to a
-//! restart budget, after which it degrades to fewer workers), and
-//! kills the fleet when no *progress* event arrives for a stall
-//! timeout (a worker parked on a hung syscall heartbeats forever —
-//! only the supervisor can tell that nothing is moving).
+//! The supervisor owns no shard state and speaks no protocol: all
+//! coordination lives in the campaign directory ([`crate::lease`]). It
+//! spawns the workers, waits on them, restarts children that die (up
+//! to a restart budget, after which it degrades to fewer workers) and
+//! heals. Each worker reports its own claims, commits, breaks,
+//! quarantines and final lease counters on the inherited stderr.
 //!
-//! Losing the socket, the supervisor, or every worker never loses
-//! work: after the fleet drains, the supervisor runs one in-process
-//! [`work_campaign`] *heal pass* as the final worker. That pass breaks
-//! any leases the dead children left behind, re-executes their shards,
-//! and returns the merged report — so `serve_campaign` converges even
-//! if every child is killed instantly, and the artifacts it writes are
-//! byte-identical to a 1-process run (the convergence argument in
-//! [`crate::lease`]).
+//! Stall detection polls the directory each tick. Progress is a child
+//! exiting, or any change in the set of entry names under `shards/`,
+//! `quarantine/` and `leases/` (`write_atomic` temporaries excluded): a
+//! commit or quarantine adds a name, a claim adds a lease, a release or
+//! break removes one and a break adds a tombstone. A heartbeat rewrites
+//! a lease under the same name, so it never counts — a worker parked on
+//! a hung syscall heartbeats forever, and only the supervisor can tell
+//! that nothing is moving. After a stall timeout with no progress it
+//! kills the fleet.
+//!
+//! Losing the supervisor or every worker never loses work: after the
+//! fleet drains, the supervisor runs one in-process [`work_campaign`]
+//! *heal pass* as the final worker. That pass breaks any leases the
+//! dead children left behind, re-executes their shards, and returns the
+//! merged report — so `serve_campaign` converges even if every child is
+//! killed instantly, and the artifacts it writes are byte-identical to
+//! a 1-process run (the convergence argument in [`crate::lease`]).
 
 use std::fs;
-use std::io::{BufRead, BufReader};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use prefender_obs::{ObsCounters, FAILPOINTS_ENV};
+use prefender_obs::{is_atomic_tmp, ObsCounters, FAILPOINTS_ENV};
 
 use crate::artifact::SweepReport;
-use crate::checkpoint::{io_err, load_manifest, CampaignError, Manifest};
-use crate::lease::{work_campaign, LeaseConfig, WorkEvent, WorkOptions, WorkSummary};
-
-/// The supervisor's telemetry socket, inside the campaign directory.
-/// (Unix socket paths are length-limited; keep campaign dirs short.)
-pub const SERVE_SOCK: &str = "serve.sock";
+use crate::checkpoint::{
+    io_err, load_manifest, CampaignError, Manifest, QUARANTINE_DIR, SHARD_DIR,
+};
+use crate::lease::{work_campaign, LeaseConfig, WorkEvent, WorkOptions, LEASE_DIR};
 
 /// Options for [`serve_campaign`].
 #[derive(Debug, Clone)]
@@ -54,16 +53,17 @@ pub struct ServeOptions {
     pub restart_budget: usize,
     /// Lease policy passed to workers and used by the heal pass.
     pub lease: LeaseConfig,
-    /// Kill the fleet when no progress event (claim/commit/break/
-    /// quarantine/exit) arrives for this long — hung workers heartbeat
-    /// forever; stalls are visible only here.
+    /// Kill the fleet when the campaign directory shows no progress
+    /// (commit, claim, release, break, quarantine) and no child exits
+    /// for this long — hung workers heartbeat forever; stalls are
+    /// visible only here.
     pub stall_timeout: Duration,
     /// Failpoint spec injected into workers (children otherwise run
     /// with the supervisor's failpoint env *removed*, so faults aimed
     /// at workers are explicit and never hit the supervisor).
     pub worker_failpoints: Option<String>,
-    /// Suppress per-event progress lines (lifecycle and break/
-    /// quarantine lines always print).
+    /// Suppress per-shard progress lines, the supervisor's and the
+    /// workers' (lifecycle and break/quarantine lines always print).
     pub quiet: bool,
 }
 
@@ -91,8 +91,6 @@ pub struct WorkerReport {
     pub worker: usize,
     /// Every pid that occupied this slot (restarts append).
     pub pids: Vec<u32>,
-    /// Shards committed by this slot across all its incarnations.
-    pub committed: u64,
 }
 
 /// What a [`serve_campaign`] run did.
@@ -108,197 +106,59 @@ pub struct ServeSummary {
     pub degraded: bool,
     /// Live workers killed by stall detection.
     pub stall_kills: usize,
-    /// Per-slot pid/commit history.
+    /// Per-slot pid history.
     pub per_worker: Vec<WorkerReport>,
     /// Shards the supervisor's own heal pass had to execute.
     pub healed: u64,
-    /// Lease/quarantine counters summed over worker `done` reports and
-    /// the heal pass.
+    /// Read from the directory: `lease_breaks` counts the break
+    /// tombstones and `shard_quarantines` the quarantined files this run
+    /// added, whichever process made them. The other lease counters are
+    /// the heal pass's own; each worker prints its claims and renewals
+    /// in its `sweep: work:` line.
     pub counters: ObsCounters,
 }
 
 impl ServeSummary {
     /// One telemetry line, e.g. `4 workers (6 spawned, 2 restarts),
-    /// 0 healed; leases: claims=16 renewals=3 breaks=2 reclaims=2
-    /// quarantines=1`.
+    /// 0 healed; breaks=2 quarantines=1`.
     pub fn render(&self) -> String {
-        let c = &self.counters;
         format!(
-            "{} workers ({} spawned, {} restarts{}), {} healed; leases: claims={} \
-             renewals={} breaks={} reclaims={} quarantines={}",
+            "{} workers ({} spawned, {} restarts{}), {} healed; breaks={} quarantines={}",
             self.workers,
             self.spawned,
             self.restarts,
             if self.degraded { ", degraded" } else { "" },
             self.healed,
-            c.lease_claims,
-            c.lease_renewals,
-            c.lease_breaks,
-            c.lease_reclaims,
-            c.shard_quarantines
+            self.counters.lease_breaks,
+            self.counters.shard_quarantines
         )
     }
 }
 
-/// The worker→supervisor hello: `hello <worker> <pid>`.
-pub fn hello_line(worker: usize, pid: u32) -> String {
-    format!("hello {worker} {pid}")
-}
-
-/// A [`WorkEvent`] as one telemetry protocol line.
-pub fn event_line(event: &WorkEvent) -> String {
-    match event {
-        WorkEvent::Claimed { shard } => format!("claim {shard}"),
-        WorkEvent::Committed { shard, done, total } => format!("commit {shard} {done} {total}"),
-        WorkEvent::Broke { shard, holder_pid, age_ms } => {
-            format!("break {shard} {holder_pid} {age_ms}")
-        }
-        WorkEvent::Quarantined { shard, .. } => format!("quarantine {shard}"),
-        WorkEvent::Waiting { remaining } => format!("waiting {remaining}"),
+/// The supervisor's progress sample: the sorted entry names under
+/// `shards/`, `quarantine/` and `leases/`, `write_atomic` temporaries
+/// excluded. It changes on a commit, claim, release, break or
+/// quarantine, and never on a heartbeat.
+fn progress_sample(dir: &Path) -> Vec<PathBuf> {
+    let mut names = Vec::new();
+    for sub in [SHARD_DIR, QUARANTINE_DIR, LEASE_DIR] {
+        let Ok(entries) = fs::read_dir(dir.join(sub)) else { continue };
+        names
+            .extend(entries.filter_map(|e| e.ok()).map(|e| e.path()).filter(|p| !is_atomic_tmp(p)));
     }
+    names.sort();
+    names
 }
 
-/// The worker's final report: `done <committed> <loaded> <claims>
-/// <renewals> <breaks> <reclaims> <quarantines>`.
-pub fn done_line(summary: &WorkSummary) -> String {
-    let c = &summary.counters;
-    format!(
-        "done {} {} {} {} {} {} {}",
-        summary.committed,
-        summary.loaded,
-        c.lease_claims,
-        c.lease_renewals,
-        c.lease_breaks,
-        c.lease_reclaims,
-        c.shard_quarantines
-    )
-}
-
-/// A parsed worker telemetry line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Msg {
-    Hello { worker: usize, pid: u32 },
-    Claim { shard: usize },
-    Commit { shard: usize, done: usize, total: usize },
-    Broke { shard: usize, holder_pid: u32, age_ms: u64 },
-    Quarantine { shard: usize },
-    Waiting { remaining: usize },
-    Done { summary: Box<WorkSummary> },
-}
-
-impl Msg {
-    fn parse(line: &str) -> Option<Msg> {
-        let mut parts = line.split_whitespace();
-        let kind = parts.next()?;
-        let mut next = || parts.next().and_then(|p| p.parse::<u64>().ok());
-        let msg = match kind {
-            "hello" => Msg::Hello { worker: next()? as usize, pid: next()? as u32 },
-            "claim" => Msg::Claim { shard: next()? as usize },
-            "commit" => Msg::Commit {
-                shard: next()? as usize,
-                done: next()? as usize,
-                total: next()? as usize,
-            },
-            "break" => {
-                Msg::Broke { shard: next()? as usize, holder_pid: next()? as u32, age_ms: next()? }
-            }
-            "quarantine" => Msg::Quarantine { shard: next()? as usize },
-            "waiting" => Msg::Waiting { remaining: next()? as usize },
-            "done" => Msg::Done {
-                summary: Box::new(WorkSummary {
-                    shards: 0,
-                    committed: next()? as usize,
-                    loaded: next()? as usize,
-                    counters: ObsCounters {
-                        lease_claims: next()?,
-                        lease_renewals: next()?,
-                        lease_breaks: next()?,
-                        lease_reclaims: next()?,
-                        shard_quarantines: next()?,
-                        ..ObsCounters::default()
-                    },
-                }),
-            },
-            _ => return None,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(msg)
-    }
-}
-
-/// State shared between the supervise loop and per-connection readers.
-struct Shared {
-    /// Bumped on every *progress* event (not `waiting`) — the stall
-    /// detector's signal.
-    progress: AtomicU64,
-    inner: Mutex<Inner>,
-}
-
-#[derive(Default)]
-struct Inner {
-    /// `(important, text)` lines for the supervisor to print.
-    lines: Vec<(bool, String)>,
-    /// Commits per worker slot.
-    committed: Vec<u64>,
-    /// Counters accumulated from worker `done` reports.
-    counters: ObsCounters,
-}
-
-/// One socket connection: attribute lines to the slot named by its
-/// hello, render them, and fold `done` reports into the shared state.
-fn read_connection(stream: UnixStream, shared: Arc<Shared>) {
-    let _ = stream.set_nonblocking(false);
-    let reader = BufReader::new(stream);
-    let mut slot: Option<usize> = None;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let Some(msg) = Msg::parse(&line) else { continue };
-        if !matches!(msg, Msg::Waiting { .. }) {
-            shared.progress.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut inner = shared.inner.lock().unwrap();
-        let who = slot.map_or_else(|| "worker ?".into(), |s| format!("worker {s}"));
-        match msg {
-            Msg::Hello { worker, pid } => {
-                slot = Some(worker);
-                inner.lines.push((false, format!("worker {worker}: online (pid {pid})")));
-            }
-            Msg::Claim { shard } => {
-                inner.lines.push((false, format!("{who}: claimed shard {shard}")));
-            }
-            Msg::Commit { shard, done, total } => {
-                if let Some(s) = slot {
-                    if s < inner.committed.len() {
-                        inner.committed[s] += 1;
-                    }
-                }
-                inner
-                    .lines
-                    .push((false, format!("{who}: committed shard {shard} ({done}/{total})")));
-            }
-            Msg::Broke { shard, holder_pid, age_ms } => {
-                inner.lines.push((
-                    true,
-                    format!(
-                        "{who}: broke stale lease on shard {shard} \
-                         (holder pid {holder_pid}, heartbeat {age_ms}ms old)"
-                    ),
-                ));
-            }
-            Msg::Quarantine { shard } => {
-                inner.lines.push((true, format!("{who}: quarantined invalid shard {shard}")));
-            }
-            Msg::Waiting { remaining } => {
-                inner.lines.push((false, format!("{who}: waiting ({remaining} shards held)")));
-            }
-            Msg::Done { summary } => {
-                inner.counters.merge(&summary.counters);
-                inner.lines.push((false, format!("{who}: done ({})", summary.render())));
-            }
-        }
-    }
+/// `(break tombstones, quarantined files)` in a progress sample.
+fn tally(dir: &Path, sample: &[PathBuf]) -> (u64, u64) {
+    let qdir = dir.join(QUARANTINE_DIR);
+    let tombstones = sample
+        .iter()
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.contains(".broken.")))
+        .count();
+    let quarantined = sample.iter().filter(|p| p.starts_with(&qdir)).count();
+    (tombstones as u64, quarantined as u64)
 }
 
 struct Slot {
@@ -309,13 +169,13 @@ struct Slot {
 /// Runs a campaign with `opts.workers` supervised child processes and
 /// returns the merged report — the same bytes as a 1-process run. The
 /// campaign manifest must already exist ([`crate::init_campaign`]).
-/// Progress renders to stderr.
+/// Lifecycle lines go to stderr, which the workers inherit.
 ///
 /// # Errors
 ///
-/// Manifest/socket/spawn failures, or the heal pass failing — but a
-/// child dying is *not* an error: it is restarted (within the budget)
-/// or its work reclaimed by the survivors and the heal pass.
+/// Manifest/spawn failures, or the heal pass failing — but a child
+/// dying is *not* an error: it is restarted (within the budget) or its
+/// work reclaimed by the survivors and the heal pass.
 pub fn serve_campaign(
     dir: &Path,
     opts: &ServeOptions,
@@ -324,14 +184,6 @@ pub fn serve_campaign(
         return Err(CampaignError::Manifest("serve needs at least one worker".into()));
     }
     load_manifest(dir)?; // fail early with the good error; workers reload it
-    let sock_path = dir.join(SERVE_SOCK);
-    let _ = fs::remove_file(&sock_path);
-    let listener = UnixListener::bind(&sock_path).map_err(io_err(&sock_path))?;
-    listener.set_nonblocking(true).map_err(io_err(&sock_path))?;
-    let shared = Arc::new(Shared {
-        progress: AtomicU64::new(0),
-        inner: Mutex::new(Inner { committed: vec![0; opts.workers], ..Inner::default() }),
-    });
     let mut summary = ServeSummary { workers: opts.workers, ..ServeSummary::default() };
     let log = |important: bool, line: &str| {
         if important || !opts.quiet {
@@ -339,15 +191,16 @@ pub fn serve_campaign(
         }
     };
 
-    let spawn_worker = |slot: usize| -> std::io::Result<Child> {
+    let spawn_worker = || -> std::io::Result<Child> {
         let mut cmd = Command::new(&opts.exe);
         cmd.arg("work")
             .arg(dir)
             .args(["--threads", &opts.worker_threads.to_string()])
             .args(["--lease-ttl-ms", &opts.lease.ttl_ms.to_string()])
-            .args(["--sock".as_ref(), sock_path.as_os_str()])
-            .args(["--worker-id", &slot.to_string()])
             .stdout(Stdio::null());
+        if opts.quiet {
+            cmd.arg("--quiet");
+        }
         cmd.env_remove(FAILPOINTS_ENV);
         if let Some(spec) = &opts.worker_failpoints {
             cmd.env(FAILPOINTS_ENV, spec);
@@ -355,28 +208,18 @@ pub fn serve_campaign(
         cmd.spawn()
     };
 
+    let baseline = progress_sample(dir);
     let mut slots: Vec<Slot> = Vec::with_capacity(opts.workers);
     for k in 0..opts.workers {
-        let child = spawn_worker(k).map_err(io_err(&opts.exe))?;
+        let child = spawn_worker().map_err(io_err(&opts.exe))?;
         summary.spawned += 1;
-        let mut slot = Slot { child: Some(child), pids: Vec::new() };
-        if let Some(c) = &slot.child {
-            slot.pids.push(c.id());
-            log(false, &format!("worker {k}: spawned (pid {})", c.id()));
-        }
-        slots.push(slot);
+        log(false, &format!("worker {k}: spawned (pid {})", child.id()));
+        slots.push(Slot { pids: vec![child.id()], child: Some(child) });
     }
 
+    let mut last_sample = baseline.clone();
     let mut last_progress = Instant::now();
-    let mut seen_progress = 0u64;
     loop {
-        while let Ok((stream, _)) = listener.accept() {
-            let shared = shared.clone();
-            thread::spawn(move || read_connection(stream, shared));
-        }
-        for (important, line) in shared.inner.lock().unwrap().lines.drain(..) {
-            log(important, &line);
-        }
         let mut live = 0usize;
         for (k, slot) in slots.iter_mut().enumerate() {
             let Some(child) = slot.child.as_mut() else { continue };
@@ -398,7 +241,7 @@ pub fn serve_campaign(
                                 summary.restarts, opts.restart_budget
                             ),
                         );
-                        match spawn_worker(k) {
+                        match spawn_worker() {
                             Ok(c) => {
                                 summary.spawned += 1;
                                 slot.pids.push(c.id());
@@ -429,9 +272,9 @@ pub fn serve_campaign(
         if live == 0 {
             break;
         }
-        let progress = shared.progress.load(Ordering::Relaxed);
-        if progress != seen_progress {
-            seen_progress = progress;
+        let sample = progress_sample(dir);
+        if sample != last_sample {
+            last_sample = sample;
             last_progress = Instant::now();
         } else if last_progress.elapsed() > opts.stall_timeout {
             log(
@@ -450,11 +293,6 @@ pub fn serve_campaign(
             last_progress = Instant::now();
         }
         thread::sleep(Duration::from_millis(25));
-    }
-    // Give lagging reader threads a beat, then drain the last lines.
-    thread::sleep(Duration::from_millis(50));
-    for (important, line) in shared.inner.lock().unwrap().lines.drain(..) {
-        log(important, &line);
     }
 
     // Heal pass: the supervisor is the last worker. With a healthy
@@ -479,90 +317,82 @@ pub fn serve_campaign(
     };
     let (report, manifest, healed) = work_campaign(dir, &heal_opts, &mut heal_events)?;
     summary.healed = healed.committed as u64;
-    {
-        let inner = shared.inner.lock().unwrap();
-        summary.counters = inner.counters;
-        summary.per_worker = (0..opts.workers)
-            .map(|k| WorkerReport {
-                worker: k,
-                pids: slots[k].pids.clone(),
-                committed: *inner.committed.get(k).unwrap_or(&0),
-            })
-            .collect();
-    }
-    summary.counters.merge(&healed.counters);
-    drop(listener);
-    let _ = fs::remove_file(&sock_path);
+    let (breaks_before, quarantined_before) = tally(dir, &baseline);
+    let (breaks, quarantined) = tally(dir, &progress_sample(dir));
+    summary.counters = ObsCounters {
+        lease_breaks: breaks.saturating_sub(breaks_before),
+        shard_quarantines: quarantined.saturating_sub(quarantined_before),
+        ..healed.counters
+    };
+    summary.per_worker = slots
+        .into_iter()
+        .enumerate()
+        .map(|(worker, slot)| WorkerReport { worker, pids: slot.pids })
+        .collect();
     Ok((report, manifest, summary))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn protocol_lines_round_trip() {
-        assert_eq!(Msg::parse(&hello_line(3, 999)), Some(Msg::Hello { worker: 3, pid: 999 }));
-        let events = [
-            (WorkEvent::Claimed { shard: 7 }, Msg::Claim { shard: 7 }),
-            (
-                WorkEvent::Committed { shard: 7, done: 8, total: 16 },
-                Msg::Commit { shard: 7, done: 8, total: 16 },
-            ),
-            (
-                WorkEvent::Broke { shard: 2, holder_pid: 41, age_ms: 777 },
-                Msg::Broke { shard: 2, holder_pid: 41, age_ms: 777 },
-            ),
-            (
-                WorkEvent::Quarantined { shard: 5, why: "torn footer".into() },
-                Msg::Quarantine { shard: 5 },
-            ),
-            (WorkEvent::Waiting { remaining: 4 }, Msg::Waiting { remaining: 4 }),
-        ];
-        for (event, expected) in events {
-            assert_eq!(Msg::parse(&event_line(&event)), Some(expected), "{event:?}");
-        }
-    }
-
-    #[test]
-    fn done_lines_carry_the_counters() {
-        let summary = WorkSummary {
-            shards: 16,
-            committed: 9,
-            loaded: 7,
-            counters: ObsCounters {
-                lease_claims: 10,
-                lease_renewals: 3,
-                lease_breaks: 2,
-                lease_reclaims: 1,
-                shard_quarantines: 1,
-                ..ObsCounters::default()
-            },
-        };
-        let Some(Msg::Done { summary: parsed }) = Msg::parse(&done_line(&summary)) else {
-            panic!("done line must parse: {}", done_line(&summary));
-        };
-        assert_eq!(parsed.committed, 9);
-        assert_eq!(parsed.loaded, 7);
-        assert_eq!(parsed.counters.lease_claims, 10);
-        assert_eq!(parsed.counters.lease_breaks, 2);
-        assert_eq!(parsed.counters.shard_quarantines, 1);
-        // The done line does not carry the shard count; slots learn it
-        // from commit events instead.
-        assert_eq!(parsed.shards, 0);
-    }
-
-    #[test]
-    fn junk_lines_are_ignored_not_fatal() {
-        for junk in ["", "bogus 1 2", "commit", "commit x y z", "hello 1 2 3 extra"] {
-            assert_eq!(Msg::parse(junk), None, "{junk:?}");
-        }
-    }
+    use crate::checkpoint::{init_campaign, quarantine};
+    use crate::engine::SweepOptions;
+    use crate::grid::SweepGrid;
+    use crate::lease::{claim_shard, lease_file_name, Claim, LeaseInfo};
+    use crate::shard::shard_file_name;
+    use prefender_obs::write_atomic;
 
     #[test]
     fn zero_workers_is_rejected() {
         let opts = ServeOptions::new("/bin/false", 0);
         let err = serve_campaign(Path::new("/nonexistent"), &opts).unwrap_err();
         assert!(matches!(err, CampaignError::Manifest(_)), "{err}");
+    }
+
+    #[test]
+    fn progress_sample_moves_on_state_changes_and_never_on_heartbeats() {
+        let dir = std::env::temp_dir().join(format!("prefender-serve-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut grid = SweepGrid::security_quick();
+        grid.seeds = 1;
+        let manifest = init_campaign(&dir, &grid, &SweepOptions::default(), 1).unwrap();
+        let fingerprint = manifest.fingerprint();
+        let cfg = LeaseConfig::default();
+        let mut counters = ObsCounters::new();
+        let mut sink = |_: WorkEvent| {};
+        let mut last = progress_sample(&dir);
+        let mut moved = |what: &str, expect: bool| {
+            let now = progress_sample(&dir);
+            assert_eq!(now != last, expect, "{what}: {last:?} -> {now:?}");
+            last = now;
+        };
+
+        let claim = claim_shard(&dir, 0, fingerprint, &cfg, &mut counters, &mut sink).unwrap();
+        let Claim::Claimed { lease, .. } = claim else { panic!("claim must win") };
+        moved("claim", true);
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(lease.renew().unwrap());
+        moved("heartbeat", false);
+        let shard = dir.join(SHARD_DIR).join(shard_file_name(0));
+        write_atomic(&shard, "committed bytes").unwrap();
+        moved("commit", true);
+        lease.release();
+        moved("release", true);
+        let stray = dir.join(SHARD_DIR).join("shard-00001.psd.tmp.4000000000");
+        fs::write(&stray, "half-written").unwrap();
+        moved("stray temporary", false);
+        quarantine(&dir, &shard, 0).unwrap();
+        moved("quarantine", true);
+        let dead =
+            LeaseInfo { pid: 4_000_000_000, token: 1, fingerprint, shard: 1, heartbeat_ms: 0 };
+        fs::write(dir.join(LEASE_DIR).join(lease_file_name(1)), dead.encode()).unwrap();
+        moved("a dead worker's claim", true);
+        let claim = claim_shard(&dir, 1, fingerprint, &cfg, &mut counters, &mut sink).unwrap();
+        assert!(matches!(claim, Claim::Claimed { broke: true, .. }), "{claim:?}");
+        // The broken lease's name went to a tombstone and our claim took
+        // the same name back: the tombstone alone is the change.
+        moved("break", true);
+        assert_eq!(tally(&dir, &progress_sample(&dir)), (1, 1));
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -160,7 +160,9 @@ pub fn encode_shard(header: &ShardHeader, results: &[ScenarioResult]) -> String 
 /// expects. Any discrepancy — truncation, flipped bytes, appended
 /// garbage, a foreign campaign's shard, a record out of range — returns
 /// a description of what failed; the checkpoint layer quarantines the
-/// file and re-runs the range.
+/// file and re-runs the range. Total: no input panics, and only the
+/// exact bytes [`encode_shard`] writes decode, so a decoded shard
+/// re-encodes to its own file.
 pub fn decode_shard(text: &str, expect: &ShardHeader) -> Result<Vec<ScenarioResult>, String> {
     // Locate the footer: the last line, starting exactly with "FOOTER ".
     let body_len = text.rfind("\nFOOTER ").map(|p| p + 1).ok_or("no footer (truncated?)")?;
@@ -222,6 +224,12 @@ pub fn decode_shard(text: &str, expect: &ShardHeader) -> Result<Vec<ScenarioResu
     }
     if out.len() != records {
         return Err(format!("{} records present, footer declares {records}", out.len()));
+    }
+    // The checksum seals the body but not its spelling (`007`, `+7`,
+    // `\r\n`, upper-case hex all parse); only the encoder's own bytes
+    // are accepted.
+    if encode_shard(expect, &out) != text {
+        return Err("not in canonical form".into());
     }
     Ok(out)
 }
