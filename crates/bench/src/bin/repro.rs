@@ -24,14 +24,6 @@
 //!             secret, and name the attacker-visible features surviving
 //!             a Bonferroni-corrected permutation null; writes
 //!             forensics.json in the working directory
-//!   bench-sim simulator-throughput microbenches (access fast path,
-//!             prefetch storm, fresh-vs-runner leakage cells); writes
-//!             BENCH_sim.json in the working directory
-//!   bench-sweep
-//!             sweep-engine thread-scaling bench: the CI 576-scenario
-//!             grid at 1/2/4/8 threads with parallel efficiency per row
-//!             (artifacts asserted byte-identical across thread counts);
-//!             writes BENCH_sweep.json (schema v2)
 //!   profile   span-based phase breakdown (fetch/execute/defense/settle/
 //!             expiry/decode/resample) of one leakage cell and the
 //!             576-scenario grid at 1 thread; writes PROFILE.json in the
@@ -44,9 +36,8 @@
 //!             audit --list             list auditable programs
 //!             audit --program <name>   analyze one program, no leakage run
 //!   all       everything above except forensics (a deliberately slow
-//!             trace-armed deep dive) and bench-sim, bench-sweep and
-//!             profile (whose output is timing-dependent, not a paper
-//!             artifact)
+//!             trace-armed deep dive) and profile (whose output is
+//!             timing-dependent, not a paper artifact)
 //! ```
 //!
 //! Every grid-shaped experiment is sharded across the sweep engine's
@@ -203,14 +194,6 @@ fn run_one(name: &str) -> Result<(), String> {
                 .map_err(|e| format!("writing forensics.json: {e}"))?;
             println!("wrote forensics.json");
         }
-        "bench-sweep" => {
-            println!("=== Sweep-engine thread scaling: 576-scenario grid ===\n");
-            let report = prefender_bench::sweepbench::run(&[1, 2, 4, 8]);
-            print!("{}", report.render());
-            prefender_obs::write_atomic("BENCH_sweep.json", report.to_json())
-                .map_err(|e| format!("writing BENCH_sweep.json: {e}"))?;
-            println!("\nwrote BENCH_sweep.json");
-        }
         "profile" => {
             println!("=== Phase profile: spans over one leakage cell + the 576 grid ===\n");
             let report = prefender_bench::profile::run();
@@ -218,14 +201,6 @@ fn run_one(name: &str) -> Result<(), String> {
             prefender_obs::write_atomic("PROFILE.json", report.to_json())
                 .map_err(|e| format!("writing PROFILE.json: {e}"))?;
             println!("wrote PROFILE.json");
-        }
-        "bench-sim" => {
-            println!("=== Simulator throughput: hot path + fresh-vs-runner cells ===\n");
-            let report = prefender_bench::simbench::run(200);
-            print!("{}", report.render());
-            prefender_obs::write_atomic("BENCH_sim.json", report.to_json())
-                .map_err(|e| format!("writing BENCH_sim.json: {e}"))?;
-            println!("\nwrote BENCH_sim.json");
         }
         "all" => {
             for e in [
@@ -257,7 +232,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: repro <fig8|fig9|fig10|fig11|fig12|table4|table5|table6|hwcost|ablate-*|sweep|leakage|forensics|audit|bench-sim|bench-sweep|profile|all> ..."
+            "usage: repro <fig8|fig9|fig10|fig11|fig12|table4|table5|table6|hwcost|ablate-*|sweep|leakage|forensics|audit|profile|all> ..."
         );
         return ExitCode::FAILURE;
     }

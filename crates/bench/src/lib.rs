@@ -17,13 +17,15 @@
 //! | (extensions) | [`ablation`] | `ablate-*` |
 //! | (extension: Figure 8 in bits) | [`leakage::leakage_map`] | `leakage` |
 //! | (extension: static audit) | [`audit::run`] | `audit` |
-//! | (extension: hot-path throughput) | [`simbench::run`] | `bench-sim` |
 //! | (extension: phase profile) | [`profile::run`] | `profile` |
 //!
 //! Every runner is a pure function returning printable text plus
 //! structured data, so the integration tests can assert the paper's
 //! qualitative claims (who wins, where, by roughly what factor) while the
 //! binary prints the same rows/series the paper reports.
+//!
+//! Host speed is not measured here: the `perfbench/` package at the
+//! repository root is the benchmark.
 
 pub mod ablation;
 pub mod audit;
@@ -33,8 +35,6 @@ pub mod hwcost;
 pub mod leakage;
 pub mod profile;
 pub mod security;
-pub mod simbench;
-pub mod sweepbench;
 pub mod tables;
 
 // The performance-run machinery lives beside the sweep engine

@@ -10,8 +10,8 @@
 //! * **one performance workload** — a catalog workload under the full
 //!   defense, the only payload kind that models instruction fetch (so
 //!   the `fetch` phase appears here and nowhere else);
-//! * **the CI 576-scenario grid** — the thread-scaling benchmark grid,
-//!   the shape `BENCH_sweep.json` tracks.
+//! * **the 576-scenario attack grid** — the grid CI also runs at 1 and
+//!   8 threads to check that the artifacts are byte-identical.
 //!
 //! Phases are the span names the stack opens: `fetch` / `execute` /
 //! `defense` (CPU core loop), `settle` (memory-system completion
@@ -26,8 +26,8 @@
 //! p50/p95/p99 latency quantiles for the latency-carrying classes
 //! (`access`, `flush`). The quantiles are simulated-cycle data and
 //! deterministic; the span timings are wall-clock and host-dependent —
-//! `PROFILE.json` as a whole is a timing record like `BENCH_sim.json`,
-//! never a determinism-checked artifact.
+//! `PROFILE.json` as a whole is a timing record, never a
+//! determinism-checked artifact.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -39,8 +39,6 @@ use prefender_sweep::{
     run_sweep_observed, AttackCase, AttackKind, DefenseConfig, DefensePoint, NoiseSpec, SweepGrid,
     SweepOptions,
 };
-
-use crate::sweepbench;
 
 /// One profiled campaign: a grid run start-to-finish with spans armed.
 #[derive(Debug, Clone)]
@@ -280,6 +278,23 @@ fn workload_grid() -> SweepGrid {
     g
 }
 
+/// The 576-scenario attack grid
+/// (3 attacks × 4 noise × both scopes × 6 defenses × 4 seeds).
+fn scaling_grid() -> SweepGrid {
+    let mut attacks = Vec::new();
+    for kind in [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe] {
+        for noise in [NoiseSpec::NONE, NoiseSpec::C3, NoiseSpec::C4, NoiseSpec::C3C4] {
+            for cross_core in [false, true] {
+                attacks.push(AttackCase { kind, noise, cross_core });
+            }
+        }
+    }
+    let mut grid = SweepGrid::security_full();
+    grid.attacks = attacks;
+    grid.seeds = 4;
+    grid
+}
+
 /// Re-runs `grid` at one thread with the flight recorder armed and
 /// reduces the captured trace to per-class volumes and latency
 /// quantiles (`access` load-to-use latency, `flush` completion latency).
@@ -324,7 +339,7 @@ pub fn run() -> ProfileReport {
         sections: vec![
             profile_grid("leakage-cell fr/full32 8x4", &leakage_cell_grid()),
             profile_grid("workload 462.libquantum/full32", &workload_grid()),
-            profile_grid("sweep-grid 576 (1 thread)", &sweepbench::scaling_grid()),
+            profile_grid("sweep-grid 576 (1 thread)", &scaling_grid()),
         ],
         trace: trace_grid("trace leakage-cell fr/full32 8x4", &leakage_cell_grid()),
     }
@@ -352,6 +367,13 @@ mod tests {
             assert!(p.self_ns <= p.total_ns, "{}: self > total", p.name);
             assert!(p.count > 0);
         }
+    }
+
+    #[test]
+    fn scaling_grid_is_the_ci_576() {
+        let g = scaling_grid();
+        assert_eq!(g.len(), 576);
+        assert_eq!(g.sims(), 576);
     }
 
     #[test]

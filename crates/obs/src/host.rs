@@ -1,15 +1,14 @@
-//! Host identification for bench and obs outputs.
+//! Host identification for timing outputs.
 
 use crate::snapshot::Value;
 
 /// The machine a measurement ran on.
 ///
-/// Bench throughput numbers (`BENCH_sim.json`, `BENCH_sweep.json`) are
-/// only interpretable next to the host that produced them — a flat
-/// 8-thread parallel efficiency on a single-vCPU runner is expected, the
-/// same number on an 8-core box is a regression. This block carries just
-/// enough to tell those apart. It never goes into determinism-checked
-/// artifacts (it contains a wall-clock timestamp).
+/// Timing records (`PROFILE.json`) are only interpretable next to the
+/// host that produced them: the same phase times mean different things
+/// on a shared single-vCPU runner and on an idle 8-core box. This block
+/// carries just enough to tell those apart. It never goes into
+/// determinism-checked artifacts (it contains a wall-clock timestamp).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
     /// Available logical CPUs (`std::thread::available_parallelism`).
@@ -44,30 +43,6 @@ impl HostInfo {
             ("timestamp_unix".into(), Value::U64(self.timestamp_unix)),
         ])
     }
-
-    /// The host block as a single-line JSON object, for embedding in the
-    /// hand-rolled bench reports.
-    pub fn json_inline(&self) -> String {
-        let model = match &self.model_name {
-            Some(m) => {
-                let mut esc = String::with_capacity(m.len() + 2);
-                for c in m.chars() {
-                    match c {
-                        '"' => esc.push_str("\\\""),
-                        '\\' => esc.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => esc.push(' '),
-                        c => esc.push(c),
-                    }
-                }
-                format!("\"{esc}\"")
-            }
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"nproc\": {}, \"model_name\": {}, \"timestamp_unix\": {}}}",
-            self.nproc, model, self.timestamp_unix
-        )
-    }
 }
 
 #[cfg(test)]
@@ -79,23 +54,6 @@ mod tests {
         let h = HostInfo::capture();
         assert!(h.nproc >= 1);
         assert!(h.timestamp_unix > 1_600_000_000, "clock looks unset: {}", h.timestamp_unix);
-    }
-
-    #[test]
-    fn inline_json_shape() {
-        let h = HostInfo {
-            nproc: 8,
-            model_name: Some("Fake \"CPU\" 9000".into()),
-            timestamp_unix: 1_700_000_000,
-        };
-        let j = h.json_inline();
-        assert!(j.starts_with("{\"nproc\": 8, \"model_name\": \"Fake \\\"CPU\\\" 9000\""));
-        assert!(j.ends_with("\"timestamp_unix\": 1700000000}"));
-        let none = HostInfo { nproc: 1, model_name: None, timestamp_unix: 0 };
-        assert_eq!(
-            none.json_inline(),
-            "{\"nproc\": 1, \"model_name\": null, \"timestamp_unix\": 0}"
-        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl Value {
     }
 
     /// Serializes the tree on one line, no whitespace — the JSONL form.
-    pub fn to_json_inline(&self) -> String {
+    pub fn to_json_line(&self) -> String {
         let mut out = String::new();
         self.write_inline(&mut out);
         out
@@ -183,7 +183,7 @@ mod tests {
             ("w".into(), Value::U64(3)),
             ("xs".into(), Value::Arr(vec![Value::U64(1), Value::F64(2.5)])),
         ]);
-        assert_eq!(v.to_json_inline(), "{\"w\": 3, \"xs\": [1, 2.5]}");
+        assert_eq!(v.to_json_line(), "{\"w\": 3, \"xs\": [1, 2.5]}");
     }
 
     #[test]

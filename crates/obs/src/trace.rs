@@ -294,7 +294,7 @@ impl TraceEvent {
 
     /// The event as an ordered JSON object (`e` first, then `at`, then
     /// the class-specific fields) — serialize with
-    /// [`Value::to_json_inline`] for the JSONL artifact form.
+    /// [`Value::to_json_line`] for the JSONL artifact form.
     pub fn to_value(&self) -> Value {
         let mut f: Vec<(String, Value)> = vec![
             ("e".into(), Value::Str(self.class().into())),
@@ -517,14 +517,14 @@ mod tests {
 
     #[test]
     fn jsonl_form_is_stable() {
-        let v = ev(7).to_value().to_json_inline();
+        let v = ev(7).to_value().to_json_line();
         assert_eq!(
             v,
             "{\"e\": \"demand_miss\", \"at\": 7, \"cache\": 32, \"set\": 3, \"line\": 4160}"
         );
         let a = TraceEvent::Access { at: 9, core: 0, pc: 0x40, set: 2, latency: 200, level: 2 };
         assert_eq!(
-            a.to_value().to_json_inline(),
+            a.to_value().to_json_line(),
             "{\"e\": \"access\", \"at\": 9, \"core\": 0, \"pc\": 64, \"set\": 2, \
              \"latency\": 200, \"level\": 2}"
         );
@@ -552,7 +552,7 @@ mod tests {
             TraceEvent::MshrRelease { at: 1, line: 64 },
         ];
         for e in events {
-            let json = e.to_value().to_json_inline();
+            let json = e.to_value().to_json_line();
             assert!(json.starts_with(&format!("{{\"e\": \"{}\", \"at\": 1", e.class())), "{json}");
         }
     }

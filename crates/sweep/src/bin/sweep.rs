@@ -39,7 +39,6 @@
 //!                       artifacts are byte-identical to an
 //!                       uninterrupted run. Conflicts with every
 //!                       grid-shaping flag (the manifest fixes the grid)
-//!   --bench-json PATH   also write a throughput record (BENCH_sweep.json)
 //!   --list              print the enumerated scenario grid (ids + counts,
 //!                       distinct machine configs, estimated sims) and
 //!                       exit without running anything
@@ -91,7 +90,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use prefender_obs::{write_atomic, HostInfo, ProgressReporter};
+use prefender_obs::{write_atomic, ProgressReporter};
 use prefender_sweep::{
     resume_sharded, run_sharded, run_sweep_observed, AttackCase, AttackKind, Basic, DefenseConfig,
     DefensePoint, Hierarchy, NoiseSpec, SweepGrid, SweepOptions, SweepReport,
@@ -103,7 +102,6 @@ struct Args {
     threads: usize,
     campaign_seed: u64,
     out: std::path::PathBuf,
-    bench_json: Option<std::path::PathBuf>,
     quiet: bool,
     list: bool,
     progress: bool,
@@ -167,7 +165,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         threads: 0,
         campaign_seed: 0xC0FFEE,
         out: ".".into(),
-        bench_json: None,
         quiet: false,
         list: false,
         progress: false,
@@ -234,7 +231,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--seed" => args.campaign_seed = parse_u64(&val("--seed")?)?,
             "--out" => args.out = val("--out")?.into(),
-            "--bench-json" => args.bench_json = Some(val("--bench-json")?.into()),
             "--list" => args.list = true,
             "--quiet" => args.quiet = true,
             "--progress" => args.progress = true,
@@ -439,7 +435,7 @@ fn main() -> ExitCode {
                 "             [--leakage L] [--secrets N] [--trials N] [--jitter N] [--seeds N]"
             );
             eprintln!("             [--permutations N] [--bootstrap N] [--alpha F]");
-            eprintln!("             [--threads N] [--seed S] [--out DIR] [--bench-json PATH]");
+            eprintln!("             [--threads N] [--seed S] [--out DIR]");
             eprintln!("             [--shard-size N] [--resume DIR]");
             eprintln!("             [--list] [--quiet] [--progress] [--obs] [--obs-out PATH]");
             eprintln!("             [--trace] [--trace-out PATH]");
@@ -623,23 +619,6 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = args.bench_json {
-        let record = format!(
-            "{{\"bench\": \"sweep\", \"scenarios\": {n}, \"sims\": {sims}, \"threads\": {}, \
-             \"elapsed_secs\": {:.6}, \"scenarios_per_sec\": {:.3}, \"sims_per_sec\": {:.3}, \
-             \"host\": {}}}\n",
-            args.threads,
-            elapsed.as_secs_f64(),
-            per_sec,
-            sims as f64 / elapsed.as_secs_f64().max(1e-9),
-            HostInfo::capture().json_inline(),
-        );
-        if let Err(e) = write_atomic(&path, record) {
-            eprintln!("sweep: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
-    }
     ExitCode::SUCCESS
 }
 
@@ -859,7 +838,6 @@ mod subcmd {
                 || gargs.progress
                 || gargs.obs_out.is_some()
                 || gargs.trace_out.is_some()
-                || gargs.bench_json.is_some()
             {
                 eprintln!(
                     "sweep: serve: only grid/--seed/--shard-size flags apply when \
@@ -965,7 +943,6 @@ mod tests {
             "--resume d --obs",
             "--resume d --trace",
             "--resume d --progress",
-            "--resume d --bench-json b.json",
         ] {
             let err = parse(flags).expect_err(flags);
             assert!(err.contains("conflicts with --resume"), "`{flags}` -> {err}");

@@ -271,10 +271,10 @@ impl SweepObs {
                 ("events".into(), Value::U64(buf.events.len() as u64)),
                 ("dropped".into(), Value::U64(buf.dropped)),
             ]);
-            out.push_str(&header.to_json_inline());
+            out.push_str(&header.to_json_line());
             out.push('\n');
             for e in &buf.events {
-                out.push_str(&e.to_value().to_json_inline());
+                out.push_str(&e.to_value().to_json_line());
                 out.push('\n');
             }
         }
@@ -303,7 +303,7 @@ impl SweepObs {
                 ("claim_ms".into(), Value::F64(e.claim_ms)),
                 ("done_ms".into(), Value::F64(e.done_ms)),
             ]);
-            out.push_str(&v.to_json_inline());
+            out.push_str(&v.to_json_line());
             out.push('\n');
         }
         out

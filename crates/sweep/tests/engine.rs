@@ -37,7 +37,7 @@ fn mixed_grid() -> SweepGrid {
     }
 }
 
-/// The acceptance-criterion determinism claim: the same campaign seed
+/// The headline determinism claim: the same campaign seed
 /// produces byte-identical `sweep.json` / `sweep.csv` / `leakage.json` /
 /// `leakage.csv` at `--threads 1` and `--threads 8`.
 #[test]

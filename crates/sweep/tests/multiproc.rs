@@ -50,10 +50,14 @@ fn reference(dir: &Path, threads: &str) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// The committed shard files, sorted. A shard being written sits beside
+/// them as a `write_atomic` temporary until its rename, so only `.psd`
+/// files count.
 fn shard_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = fs::read_dir(dir.join(SHARD_DIR))
         .map(|rd| rd.filter_map(|e| e.ok()).map(|e| e.path()).collect())
         .unwrap_or_default();
+    files.retain(|p| p.extension().is_some_and(|e| e == "psd"));
     files.sort();
     files
 }

@@ -2,88 +2,13 @@
 //! output is pinned bit-for-bit against plain index-order sequential
 //! execution, across random grids and thread counts.
 
+mod common;
+
 use proptest::prelude::*;
 
-use prefender_sweep::{
-    run_sweep, AttackCase, AttackKind, Basic, DefenseConfig, DefensePoint, Hierarchy, NoiseSpec,
-    Payload, Scenario, SweepGrid, SweepOptions, SweepReport,
-};
+use prefender_sweep::{run_sweep, Payload, Scenario, SweepGrid, SweepOptions, SweepReport};
 
-/// A deterministic picker over a seed (SplitMix64 stream) so a single
-/// `u64` strategy drives every grid-shaping choice.
-struct Picker(u64);
-
-impl Picker {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
-        options[self.below(options.len() as u64) as usize]
-    }
-}
-
-/// A small random grid touching every axis kind: 1–2 attack cases, an
-/// optional workload, an optional leakage campaign, 1–2 defenses, 1–2
-/// basics, 1–2 hierarchies, 1–2 seed slots. Kept small so the proptest
-/// runs the grid five times per case (reference + four thread counts)
-/// in reasonable time.
-fn random_grid(seed: u64) -> SweepGrid {
-    let mut p = Picker(seed);
-    let kinds = [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe];
-    let noises = [NoiseSpec::NONE, NoiseSpec::C3, NoiseSpec::C4, NoiseSpec::C3C4];
-    let mut g = SweepGrid::empty();
-    g.attacks = (0..1 + p.below(2))
-        .map(|_| AttackCase {
-            kind: p.pick(&kinds),
-            noise: p.pick(&noises),
-            cross_core: p.below(2) == 0,
-        })
-        .collect();
-    if p.below(2) == 0 {
-        g.workloads = vec!["999.specrand".to_string()];
-    }
-    if p.below(2) == 0 {
-        g.leakages = vec![AttackCase {
-            kind: p.pick(&kinds),
-            noise: NoiseSpec::NONE,
-            cross_core: p.below(2) == 0,
-        }];
-        g.leakage_secrets = 2;
-        g.leakage_trials = 1;
-    }
-    let configs = [
-        DefenseConfig::None,
-        DefenseConfig::St,
-        DefenseConfig::At,
-        DefenseConfig::StAt,
-        DefenseConfig::AtRp,
-        DefenseConfig::Full,
-    ];
-    g.defenses = (0..1 + p.below(2))
-        .map(|_| DefensePoint { config: p.pick(&configs), buffers: p.pick(&[16usize, 32]) })
-        .collect();
-    g.basics = match p.below(3) {
-        0 => vec![Basic::None],
-        1 => vec![Basic::Tagged],
-        _ => vec![Basic::None, Basic::Stride],
-    };
-    g.hierarchies = match p.below(3) {
-        0 => vec![Hierarchy::Paper],
-        1 => vec![Hierarchy::Fifo],
-        _ => vec![Hierarchy::Paper, Hierarchy::BigL2],
-    };
-    g.seeds = 1 + p.below(2) as u32;
-    g
-}
+use common::random_grid;
 
 /// Plain index-order sequential execution — the reference the scheduled
 /// engine must reproduce bit-for-bit.

@@ -13,45 +13,29 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use prefender_stats::SplitMix64;
 use prefender_sweep::{
     resume_sharded, run_sharded, shard_file_name, AttackCase, AttackKind, Basic, DefenseConfig,
     DefensePoint, Hierarchy, NoiseSpec, ShardPlan, SweepGrid, SweepOptions, SHARD_DIR,
 };
 
-/// A deterministic picker over a seed (SplitMix64 stream) so a single
-/// `u64` strategy drives every grid-shaping choice.
-struct Picker(u64);
-
-impl Picker {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
-        options[self.below(options.len() as u64) as usize]
-    }
+/// One of `options`, uniformly, from the test's seeded stream.
+fn pick<T: Copy>(rng: &mut SplitMix64, options: &[T]) -> T {
+    options[rng.below(options.len() as u64) as usize]
 }
 
 /// A small random grid touching every payload kind, kept compact so
 /// each proptest case runs the grid a handful of times (reference plus
 /// resumes at three thread counts).
 fn random_grid(seed: u64) -> SweepGrid {
-    let mut p = Picker(seed);
+    let mut p = SplitMix64::new(seed);
     let kinds = [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe];
     let noises = [NoiseSpec::NONE, NoiseSpec::C3, NoiseSpec::C4, NoiseSpec::C3C4];
     let mut g = SweepGrid::empty();
     g.attacks = (0..1 + p.below(2))
         .map(|_| AttackCase {
-            kind: p.pick(&kinds),
-            noise: p.pick(&noises),
+            kind: pick(&mut p, &kinds),
+            noise: pick(&mut p, &noises),
             cross_core: p.below(2) == 0,
         })
         .collect();
@@ -59,17 +43,20 @@ fn random_grid(seed: u64) -> SweepGrid {
         g.workloads = vec!["999.specrand".to_string()];
     }
     if p.below(2) == 0 {
-        g.leakages =
-            vec![AttackCase { kind: p.pick(&kinds), noise: NoiseSpec::NONE, cross_core: false }];
+        g.leakages = vec![AttackCase {
+            kind: pick(&mut p, &kinds),
+            noise: NoiseSpec::NONE,
+            cross_core: false,
+        }];
         g.leakage_secrets = 2;
         g.leakage_trials = 1;
     }
     g.defenses = vec![DefensePoint {
-        config: p.pick(&[DefenseConfig::None, DefenseConfig::StAt, DefenseConfig::Full]),
-        buffers: p.pick(&[16usize, 32]),
+        config: pick(&mut p, &[DefenseConfig::None, DefenseConfig::StAt, DefenseConfig::Full]),
+        buffers: pick(&mut p, &[16usize, 32]),
     }];
-    g.basics = vec![p.pick(&[Basic::None, Basic::Tagged, Basic::Stride])];
-    g.hierarchies = vec![p.pick(&[Hierarchy::Paper, Hierarchy::Fifo])];
+    g.basics = vec![pick(&mut p, &[Basic::None, Basic::Tagged, Basic::Stride])];
+    g.hierarchies = vec![pick(&mut p, &[Hierarchy::Paper, Hierarchy::Fifo])];
     g.seeds = 1 + p.below(2) as u32;
     g
 }
@@ -129,7 +116,7 @@ proptest! {
         prop_assert_eq!(&first.to_json(), &ref_json);
 
         let plan = ShardPlan::new(grid.len(), shard_size);
-        let mut p = Picker(seed ^ 0xD1CE);
+        let mut p = SplitMix64::new(seed ^ 0xD1CE);
         for threads in [1usize, 2, 8] {
             // Damage: delete each shard with probability 1/2, and
             // truncate the tail of one random survivor.
@@ -143,7 +130,7 @@ proptest! {
                 }
             }
             if !survivors.is_empty() {
-                let victim = shards.join(shard_file_name(p.pick(&survivors)));
+                let victim = shards.join(shard_file_name(pick(&mut p, &survivors)));
                 let bytes = fs::read(&victim).expect("read victim");
                 let keep = bytes.len() - 1 - p.below(24.min(bytes.len() as u64 - 1)) as usize;
                 fs::write(&victim, &bytes[..keep]).expect("truncate victim");

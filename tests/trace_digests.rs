@@ -28,7 +28,7 @@ const CAPACITY: usize = 1 << 21;
 fn digest(buf: &TraceBuf) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for e in &buf.events {
-        for b in e.to_value().to_json_inline().bytes().chain([b'\n']) {
+        for b in e.to_value().to_json_line().bytes().chain([b'\n']) {
             h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
     }
@@ -73,6 +73,6 @@ fn cross_core_attack_stream_is_pinned() {
     });
     assert_eq!((buf.events.len(), digest(&buf)), (598, 0xcb9e_9980_ad4a_3628));
     // The folded digest is the shared `fnv1a64` of the joined lines.
-    let lines: String = buf.events.iter().map(|e| e.to_value().to_json_inline() + "\n").collect();
+    let lines: String = buf.events.iter().map(|e| e.to_value().to_json_line() + "\n").collect();
     assert_eq!(digest(&buf), fnv1a64(lines.as_bytes()));
 }
