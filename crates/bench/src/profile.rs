@@ -51,6 +51,9 @@ pub struct ProfileSection {
     pub sims: u64,
     /// Wall-clock milliseconds for the whole run.
     pub elapsed_ms: f64,
+    /// Wall-clock milliseconds for the same grid re-run with spans
+    /// disarmed — what the profiled run would have taken unobserved.
+    pub unprofiled_ms: f64,
     /// Per-phase accumulations, sorted by phase name.
     pub phases: Vec<Phase>,
 }
@@ -62,6 +65,16 @@ impl ProfileSection {
         self.phases.iter().map(|p| p.self_ns).sum()
     }
 
+    /// How much arming the spans stretched the run:
+    /// `elapsed_ms / unprofiled_ms` (1.0 = no distortion).
+    pub fn profile_overhead(&self) -> f64 {
+        if self.unprofiled_ms > 0.0 {
+            self.elapsed_ms / self.unprofiled_ms
+        } else {
+            0.0
+        }
+    }
+
     fn to_value(&self) -> Value {
         let attributed = self.attributed_ns();
         Value::Obj(vec![
@@ -69,6 +82,8 @@ impl ProfileSection {
             ("scenarios".into(), Value::U64(self.scenarios as u64)),
             ("sims".into(), Value::U64(self.sims)),
             ("elapsed_ms".into(), Value::F64(self.elapsed_ms)),
+            ("unprofiled_ms".into(), Value::F64(self.unprofiled_ms)),
+            ("profile_overhead".into(), Value::F64(self.profile_overhead())),
             ("attributed_ns".into(), Value::U64(attributed)),
             (
                 "phases".into(),
@@ -183,8 +198,13 @@ impl ProfileReport {
         for sec in &self.sections {
             let _ = writeln!(
                 s,
-                "{} — {} scenarios, {} sims, {:.1} ms wall",
-                sec.label, sec.scenarios, sec.sims, sec.elapsed_ms
+                "{} — {} scenarios, {} sims, {:.1} ms wall ({:.1} ms unprofiled, overhead {:.2}x)",
+                sec.label,
+                sec.scenarios,
+                sec.sims,
+                sec.elapsed_ms,
+                sec.unprofiled_ms,
+                sec.profile_overhead()
             );
             let attributed = sec.attributed_ns().max(1);
             let _ = writeln!(
@@ -236,21 +256,26 @@ impl ProfileReport {
 }
 
 /// Runs `grid` at one thread with spans armed and drains the calling
-/// thread's profile into a section.
+/// thread's profile into a section, then re-runs it with spans disarmed
+/// to measure what the profiling itself cost.
 fn profile_grid(label: &'static str, grid: &SweepGrid) -> ProfileSection {
     let scenarios = grid.len();
     let sims = grid.sims();
+    let timed_run = || {
+        let start = Instant::now();
+        let (_report, _obs) =
+            run_sweep_observed(grid, &SweepOptions { threads: 1, campaign_seed: 0xC0FFEE }, None);
+        start.elapsed().as_secs_f64() * 1e3
+    };
     // Drain any spans a previous section (or stray test) left behind so
     // the section owns exactly its own run.
     enable_spans(true);
     let _ = take_thread_profile();
-    let start = Instant::now();
-    let (_report, _obs) =
-        run_sweep_observed(grid, &SweepOptions { threads: 1, campaign_seed: 0xC0FFEE }, None);
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let elapsed_ms = timed_run();
     enable_spans(false);
     let phases = take_thread_profile();
-    ProfileSection { label, scenarios, sims, elapsed_ms, phases }
+    let unprofiled_ms = timed_run();
+    ProfileSection { label, scenarios, sims, elapsed_ms, unprofiled_ms, phases }
 }
 
 /// The single-cell grid: the fully-defended Flush+Reload leakage
@@ -393,6 +418,7 @@ mod tests {
                 scenarios: 1,
                 sims: 2,
                 elapsed_ms: 3.5,
+                unprofiled_ms: 2.5,
                 phases: vec![Phase { name: "fetch", count: 4, total_ns: 100, self_ns: 60 }],
             }],
             trace: TraceSection {
@@ -415,6 +441,8 @@ mod tests {
         assert!(j.contains("\"host\""));
         assert!(j.contains("\"phase\": \"fetch\""));
         assert!(j.contains("\"self_share\": 1"));
+        assert!(j.contains("\"unprofiled_ms\": 2.5"));
+        assert!(j.contains("\"profile_overhead\": 1.4"));
         assert!(j.contains("\"latency_p50\": 3"));
         assert!(j.contains("\"latency_p99\": 200"));
         assert!(j.contains("\"class\": \"eviction\""));

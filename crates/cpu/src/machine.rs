@@ -5,7 +5,7 @@ use std::fmt;
 use prefender_isa::Instr;
 #[cfg(test)]
 use prefender_isa::Reg;
-use prefender_prefetch::{AccessEvent, PrefetchRequest, Prefetcher, RetireEvent, RetireInterest};
+use prefender_prefetch::{AccessEvent, PrefetchRequest, Prefetcher, RetireInterest, Retired};
 use prefender_sim::{AccessKind, Addr, Cycle, HierarchyConfig, MemorySystem};
 
 use crate::core_model::{Core, CoreState};
@@ -85,10 +85,6 @@ impl fmt::Display for RunSummary {
 /// load/store cheaper.
 type AddrMap = prefender_sim::Mix64Map<u64>;
 
-/// Notifies a core's prefetcher of one demand access and issues the
-/// proposed prefetches — over the caller's already-destructured machine
-/// fields so `step_core`'s disjoint borrows stay intact. The scratch
-/// buffer is cleared (not shrunk) per access: no allocation once warm.
 /// Emits the flight recorder's retired-access event — the latency stream a
 /// measuring attacker observes. Disarmed (the default) this is one relaxed
 /// atomic load; the set index is only computed inside the armed closure.
@@ -116,12 +112,29 @@ fn record_access(
     });
 }
 
+/// Delivers a core's buffered retires to its prefetcher as one batch
+/// (one `defense` span) and empties the buffer.
+fn deliver_retires(pf: &mut dyn Prefetcher, core: usize, retires: &mut Vec<Retired>) {
+    if !retires.is_empty() {
+        let _span = prefender_obs::span("defense");
+        pf.on_retire_run(core, retires);
+        retires.clear();
+    }
+}
+
+/// Notifies a core's prefetcher of one demand access — after delivering
+/// the retires buffered before it — and issues the proposed prefetches,
+/// over the caller's already-destructured machine fields so `step_core`'s
+/// disjoint borrows stay intact. The scratch buffer is cleared (not
+/// shrunk) per access: no allocation once warm.
 fn notify_access(
     mem: &mut MemorySystem,
     pf: &mut dyn Prefetcher,
+    retires: &mut Vec<Retired>,
     scratch: &mut Vec<PrefetchRequest>,
     ev: &AccessEvent,
 ) {
+    deliver_retires(pf, ev.core, retires);
     let _span = prefender_obs::span("defense");
     scratch.clear();
     pf.on_access_into(ev, &|a| mem.probe_l1d(ev.core, a), scratch);
@@ -130,13 +143,94 @@ fn notify_access(
     }
 }
 
+/// Whether a prefetcher with `interest` observes `instr`'s retire.
+#[inline]
+fn wants_retire(interest: RetireInterest, instr: &Instr) -> bool {
+    match interest {
+        RetireInterest::None => false,
+        RetireInterest::RegWriters => instr.writes_reg(),
+        RetireInterest::All => true,
+    }
+}
+
+/// Retires buffered before a delivery is forced, so a long burst's buffer
+/// stays small and warm in the host's cache.
+const RETIRE_BATCH: usize = 128;
+
+/// A time no core reaches: the burst bound when nothing else competes.
+const NEVER: Cycle = Cycle::new(u64::MAX);
+
+/// Instruction fetch across one register-only run.
+///
+/// Nothing but the running core touches its L1I until the run ends, so a
+/// fetch from the line in the L1I's last-hit slot is a certain zero-stall
+/// hit. Such hits are only counted here and are booked in one
+/// [`MemorySystem::book_fetch_hits`] call when the line changes or the run
+/// ends. While the flight recorder is armed every fetch goes through
+/// [`MemorySystem::fetch`], so the `DemandHit` event stream is unchanged;
+/// so does a single step's, which has nothing to book in bulk.
+struct FetchRun {
+    line_mask: u64,
+    /// The last-hit line's address; `u64::MAX` (never line-aligned) when
+    /// there is none or booking is off.
+    hit_line: u64,
+    /// Fetches from `hit_line` not booked yet, and the last one's cycle.
+    pending: u64,
+    last: Cycle,
+    book: bool,
+}
+
+impl FetchRun {
+    /// `book` turns bulk booking on; without it every fetch goes through
+    /// [`MemorySystem::fetch`].
+    fn new(mem: &MemorySystem, core: usize, book: bool) -> Self {
+        let mut run = FetchRun {
+            line_mask: !(mem.config().l1i.line_size() - 1),
+            hit_line: u64::MAX,
+            pending: 0,
+            last: Cycle::ZERO,
+            book,
+        };
+        run.refresh(mem, core);
+        run
+    }
+
+    fn refresh(&mut self, mem: &MemorySystem, core: usize) {
+        if self.book {
+            self.hit_line = mem.fetch_hit_line(core).map_or(u64::MAX, Addr::raw);
+        }
+    }
+
+    /// Fetches the instruction at `pc` at `now`; returns the stall.
+    #[inline]
+    fn fetch(&mut self, mem: &mut MemorySystem, core: usize, pc: u64, now: Cycle) -> u64 {
+        if pc & self.line_mask == self.hit_line {
+            self.pending += 1;
+            self.last = now;
+            return 0;
+        }
+        self.finish(mem, core);
+        let stall = mem.fetch(core, Addr::new(pc), now);
+        self.refresh(mem, core);
+        stall
+    }
+
+    /// Books the pending hits.
+    fn finish(&mut self, mem: &mut MemorySystem, core: usize) {
+        if self.pending > 0 {
+            mem.book_fetch_hits(core, self.pending, self.last);
+            self.pending = 0;
+        }
+    }
+}
+
 /// A multi-core machine: cores + hierarchy + per-core prefetchers + sparse
 /// data memory + access trace.
 ///
-/// Cores execute in global time order: each [`Machine::step`] runs one
-/// instruction on the core whose `ready_at` is earliest, so two cores'
-/// memory accesses interleave exactly as their latencies dictate — the
-/// paper's cross-core attacks depend on this.
+/// Cores execute in global time order: every instruction retires on the
+/// core whose `ready_at` is earliest (ties to the lowest index), so two
+/// cores' memory accesses interleave exactly as their latencies dictate —
+/// the paper's cross-core attacks depend on this.
 pub struct Machine {
     cfg: CpuConfig,
     mem: MemorySystem,
@@ -152,8 +246,12 @@ pub struct Machine {
     /// `Prefetcher::on_access_into`: cleared (not shrunk) per access, so
     /// the notify path performs no allocation once warm.
     prefetch_scratch: Vec<PrefetchRequest>,
-    /// Observability: batched consecutive-`nop` retires dispatched via
-    /// [`Machine::retire_nop_run`] (always-on plain counter).
+    /// The running core's retires its prefetcher asked for, not yet
+    /// delivered through `Prefetcher::on_retire_run`. Empty whenever no
+    /// burst is running; delivered once it reaches [`RETIRE_BATCH`].
+    retires: Vec<Retired>,
+    /// Observability: batched consecutive-`nop` retires (see
+    /// `Machine::register_run`; always-on plain counter).
     retire_fast_dispatches: u64,
     /// Observability: instructions retired through those batches.
     retire_fast_nops: u64,
@@ -186,6 +284,7 @@ impl Machine {
             data: AddrMap::default(),
             trace: MemTrace::new(),
             prefetch_scratch: Vec::new(),
+            retires: Vec::with_capacity(RETIRE_BATCH),
             retire_fast_dispatches: 0,
             retire_fast_nops: 0,
         }
@@ -237,9 +336,9 @@ impl Machine {
         self.cores.len()
     }
 
-    /// Batched consecutive-`nop` retire dispatches (see
-    /// [`Machine::retire_nop_run`]) and the instructions they retired —
-    /// how often the hottest dispatch shortcut actually fires.
+    /// Batched consecutive-`nop` retire dispatches of [`Machine::run`] and
+    /// the instructions they retired — how often the hottest dispatch
+    /// shortcut actually fires.
     pub fn retire_fast_path(&self) -> (u64, u64) {
         (self.retire_fast_dispatches, self.retire_fast_nops)
     }
@@ -308,137 +407,289 @@ impl Machine {
         self.cores.iter().map(|c| c.ready_at).max().unwrap_or(Cycle::ZERO)
     }
 
-    fn runnable(&self) -> Option<usize> {
+    /// One scheduling decision: the earliest-ready running core (ties to
+    /// the lowest index) and the exclusive time bound before which it
+    /// stays the pick — strictly before every lower-indexed running core
+    /// and no later than every higher-indexed one. No other core changes
+    /// state while the pick runs, so the bound holds for a whole burst.
+    fn pick(&self) -> Option<(usize, Cycle)> {
+        let running = |c: &Core| c.state == CoreState::Running;
         match self.cores.as_slice() {
             // The overwhelmingly common shapes (single-core cells and
             // two-core cross-core attacks) resolve without the iterator
-            // chain; ties keep `min_by_key`'s first-wins order.
-            [a] => (a.state == CoreState::Running).then_some(0),
-            [a, b] => match (a.state == CoreState::Running, b.state == CoreState::Running) {
-                (true, true) => Some(usize::from(b.ready_at < a.ready_at)),
-                (true, false) => Some(0),
-                (false, true) => Some(1),
+            // chains.
+            [a] => running(a).then_some((0, NEVER)),
+            [a, b] => match (running(a), running(b)) {
+                (true, true) if b.ready_at < a.ready_at => Some((1, a.ready_at)),
+                (true, true) => Some((0, b.ready_at + 1)),
+                (true, false) => Some((0, NEVER)),
+                (false, true) => Some((1, NEVER)),
                 (false, false) => None,
             },
-            _ => self
-                .cores
-                .iter()
-                .filter(|c| c.state == CoreState::Running)
-                .min_by_key(|c| c.ready_at)
-                .map(|c| c.id()),
+            cores => {
+                let c = cores.iter().filter(|c| running(c)).min_by_key(|c| c.ready_at)?.id();
+                let stop = cores
+                    .iter()
+                    .filter(|o| o.id() != c && running(o))
+                    .map(|o| if o.id() < c { o.ready_at } else { o.ready_at + 1 })
+                    .min()
+                    .unwrap_or(NEVER);
+                Some((c, stop))
+            }
         }
     }
 
     /// Executes one instruction on the earliest-ready running core.
     ///
-    /// Returns `false` when no core is runnable.
+    /// Returns `false` when no core is runnable. `step` never batches
+    /// `nop` runs, so [`Machine::retire_fast_path`] is left alone, and the
+    /// prefetcher has seen every retire when it returns.
     pub fn step(&mut self) -> bool {
-        let Some(c) = self.runnable() else { return false };
-        self.step_core(c);
-        true
-    }
-
-    /// Retires a run of consecutive `nop`s on core `c` in one dispatch,
-    /// bounded by `budget` instructions. Only legal when instruction
-    /// fetch is unmodelled (each fetch would touch the L1I) and the
-    /// core's prefetcher ignores non-register-writing retires — then a
-    /// `nop` has *no* effect beyond `ready_at`/`pc_index`/`retired`
-    /// bookkeeping, so retiring `k` of them at once is indistinguishable
-    /// from `k` single steps (including to the other cores: a `nop`
-    /// never touches the memory system, so interleaving order against
-    /// other cores' accesses is unobservable). Attack programs spend
-    /// ~80% of their retired instructions in measurement-spacing `nop`
-    /// runs, which makes this the single hottest dispatch shortcut.
-    ///
-    /// Returns how many instructions were retired (0 = the current
-    /// instruction is not a batchable `nop`; the caller single-steps).
-    fn retire_nop_run(&mut self, c: usize, budget: u64) -> u64 {
-        if self.cfg.model_fetch || self.retire_interest[c] == RetireInterest::All {
-            return 0;
-        }
-        let core = &mut self.cores[c];
-        let Some(prog) = core.program.as_ref() else { return 0 };
-        let mut k = 0u64;
-        while k < budget {
-            match prog.instr(core.pc_index + k as usize) {
-                Some(Instr::Nop) => k += 1,
-                _ => break,
-            }
-        }
-        if k > 0 {
-            core.pc_index += k as usize;
-            core.ready_at += k * self.cfg.alu_cost;
-            core.retired += k;
-            self.retire_fast_dispatches += 1;
-            self.retire_fast_nops += k;
-        }
-        k
-    }
-
-    /// One scheduling decision for [`Machine::run`]: the earliest-ready
-    /// core retires either one instruction or a whole `nop` run (at most
-    /// `budget` instructions). Returns how many instructions retired,
-    /// or `None` when no core is runnable.
-    fn step_budget(&mut self, budget: u64) -> Option<u64> {
-        let c = self.runnable()?;
-        let batched = self.retire_nop_run(c, budget);
-        if batched > 0 {
-            return Some(batched);
-        }
-        self.step_core(c);
-        Some(1)
+        self.execute(1, NEVER, false) > 0
     }
 
     /// Runs until every core halts (or the instruction cap trips).
+    ///
+    /// Once the scheduler picks a core, that core runs a burst: it keeps
+    /// executing for as long as the scheduler would keep picking it, and
+    /// the burst ends when the core halts, when the instruction cap is
+    /// reached, or when its time passes another running core's (see
+    /// `pick` for the tie rule). Register-only instructions retire in one
+    /// tight loop, and consecutive `nop`s retire in one batch when fetch
+    /// is unmodelled and the prefetcher ignores non-register-writing
+    /// retires. Retires are buffered for the prefetcher and delivered
+    /// before its next access notification and before this returns
+    /// (see `Prefetcher::on_retire_run`). The machine ends exactly where
+    /// single [`Machine::step`] calls would leave it, except that a `nop`
+    /// batch may carry its core past another's time, so where the
+    /// instruction cap cuts can differ.
     pub fn run(&mut self) -> RunSummary {
-        let start_retired: u64 = self.cores.iter().map(|c| c.retired).sum();
-        let mut executed = 0u64;
-        while executed < self.cfg.max_instructions {
-            match self.step_budget(self.cfg.max_instructions - executed) {
-                None => {
-                    let total: u64 = self.cores.iter().map(|c| c.retired).sum();
-                    return RunSummary {
-                        cycles: self.now().raw(),
-                        instructions: total - start_retired,
-                        truncated: false,
-                    };
-                }
-                Some(k) => executed += k,
-            }
-        }
-        let total: u64 = self.cores.iter().map(|c| c.retired).sum();
-        RunSummary {
-            cycles: self.now().raw(),
-            instructions: total - start_retired,
-            truncated: true,
-        }
+        self.run_to(NEVER, true)
     }
 
-    /// Runs until `deadline` (useful for phase-structured attack drivers).
+    /// Runs until `deadline` (useful for phase-structured attack drivers):
+    /// the same bursts as [`Machine::run`], each also ending once the
+    /// core's time reaches `deadline`. `nop` runs are not batched here, so
+    /// no core overshoots the deadline by more than one instruction.
     pub fn run_until(&mut self, deadline: Cycle) -> RunSummary {
-        let start_retired: u64 = self.cores.iter().map(|c| c.retired).sum();
-        let mut executed = 0u64;
-        while executed < self.cfg.max_instructions {
-            match self.runnable() {
-                Some(c) if self.cores[c].ready_at < deadline => {
-                    self.step_core(c);
-                    executed += 1;
-                }
-                _ => break,
-            }
-        }
-        let total: u64 = self.cores.iter().map(|c| c.retired).sum();
+        self.run_to(deadline, false)
+    }
+
+    fn run_to(&mut self, deadline: Cycle, batch_nops: bool) -> RunSummary {
+        let retired = |m: &Machine| m.cores.iter().map(|c| c.retired).sum::<u64>();
+        let start_retired = retired(self);
+        let executed = self.execute(self.cfg.max_instructions, deadline, batch_nops);
         RunSummary {
             cycles: self.now().raw(),
-            instructions: total - start_retired,
+            instructions: retired(self) - start_retired,
             truncated: executed >= self.cfg.max_instructions,
         }
     }
 
+    /// The one execution loop behind [`Machine::run`],
+    /// [`Machine::run_until`] and [`Machine::step`]: executes at most
+    /// `budget` instructions in bursts, stopping when no core is runnable
+    /// or the next one is not ready before `deadline`. Returns the
+    /// instructions executed; a core running off its program's end counts
+    /// as one.
+    fn execute(&mut self, budget: u64, deadline: Cycle, batch_nops: bool) -> u64 {
+        let mut done = 0;
+        while done < budget {
+            let Some((c, stop)) = self.pick() else { break };
+            let stop = stop.min(deadline);
+            if self.cores[c].ready_at >= stop {
+                break;
+            }
+            done += self.burst(c, budget - done, stop, batch_nops);
+        }
+        done
+    }
+
+    /// Runs core `c` until it halts, `budget` instructions are executed or
+    /// its time reaches `stop`, then delivers its buffered retires.
+    fn burst(&mut self, c: usize, budget: u64, stop: Cycle, batch_nops: bool) -> u64 {
+        let mut done = 0;
+        loop {
+            done += self.register_run(c, budget - done, stop, batch_nops);
+            if done == budget || self.cores[c].ready_at >= stop {
+                break;
+            }
+            self.step_core(c);
+            done += 1;
+            if self.cores[c].state != CoreState::Running {
+                break;
+            }
+        }
+        if let Some(pf) = self.prefetchers[c].as_deref_mut() {
+            deliver_retires(pf, c, &mut self.retires);
+        }
+        done
+    }
+
+    /// Retires the register-only instructions (`li`, ALU ops, `mov`,
+    /// `rdtsc`, `nop`, branches) at core `c`'s program counter in one
+    /// tight loop that borrows the core's registers, program and time
+    /// once: at most `budget` of them, each starting before `stop`. It
+    /// stops at the first `ld`/`st`/`flush`/`halt` or at the program's
+    /// end, which [`Machine::step_core`] executes. Returns how many
+    /// instructions retired.
+    ///
+    /// With `batch_nops`, a run of consecutive `nop`s retires in one
+    /// dispatch when fetch is unmodelled (each fetch would touch the L1I)
+    /// and the prefetcher ignores non-register-writing retires: a `nop`
+    /// then has no effect beyond `ready_at`/`pc_index`/`retired`, and
+    /// never touches the memory system, so the batch is indistinguishable
+    /// from single steps even to the other cores. Attack programs spend
+    /// ~80% of their retired instructions in measurement-spacing `nop`
+    /// runs; the batches are counted in [`Machine::retire_fast_path`].
+    fn register_run(&mut self, c: usize, budget: u64, stop: Cycle, batch_nops: bool) -> u64 {
+        let Machine {
+            cfg,
+            mem,
+            cores,
+            prefetchers,
+            retire_interest,
+            retires,
+            retire_fast_dispatches,
+            retire_fast_nops,
+            ..
+        } = self;
+        let core = &mut cores[c];
+        let prog = core.program.as_ref().expect("running core has a program");
+        let instrs = prog.instrs();
+        let interest = retire_interest[c];
+        let batch_nops = batch_nops && !cfg.model_fetch && interest != RetireInterest::All;
+        // Booking pays off over a run: a single step (and every fetch
+        // while the flight recorder is armed) takes the plain path.
+        let book = budget > 1 && !prefender_obs::trace_armed();
+        let mut fetch = cfg.model_fetch.then(|| FetchRun::new(mem, c, book));
+        let _span = prefender_obs::span("execute");
+        let regs = &mut core.regs;
+        let (mut idx, mut t, mut n) = (core.pc_index, core.ready_at, 0u64);
+        while n < budget && t < stop {
+            let Some(&instr) = instrs.get(idx) else { break };
+            if batch_nops && instr == Instr::Nop {
+                let cap = usize::try_from(budget - n).unwrap_or(usize::MAX);
+                let k = instrs[idx..].iter().take(cap).take_while(|i| **i == Instr::Nop).count();
+                let k = k as u64;
+                idx += k as usize;
+                t += k * cfg.alu_cost;
+                n += k;
+                *retire_fast_dispatches += 1;
+                *retire_fast_nops += k;
+                continue;
+            }
+            if matches!(
+                instr,
+                Instr::Load { .. } | Instr::Store { .. } | Instr::Flush { .. } | Instr::Halt
+            ) {
+                break;
+            }
+            let pc = prog.pc_of(idx);
+            if let Some(f) = fetch.as_mut() {
+                t += f.fetch(mem, c, pc, t);
+            }
+            let mut next = idx + 1;
+            let cost = match instr {
+                Instr::LoadImm { rd, imm } => {
+                    regs.write(rd, imm as u64);
+                    cfg.alu_cost
+                }
+                Instr::Add { rd, a, b } => {
+                    regs.write(rd, regs.read(a).wrapping_add(regs.value(b)));
+                    cfg.alu_cost
+                }
+                Instr::Sub { rd, a, b } => {
+                    regs.write(rd, regs.read(a).wrapping_sub(regs.value(b)));
+                    cfg.alu_cost
+                }
+                Instr::Mul { rd, a, b } => {
+                    regs.write(rd, regs.read(a).wrapping_mul(regs.value(b)));
+                    cfg.mul_cost
+                }
+                Instr::Shl { rd, a, b } => {
+                    let sh = regs.value(b) & 63;
+                    regs.write(rd, regs.read(a).wrapping_shl(sh as u32));
+                    cfg.alu_cost
+                }
+                Instr::Shr { rd, a, b } => {
+                    let sh = regs.value(b) & 63;
+                    regs.write(rd, regs.read(a).wrapping_shr(sh as u32));
+                    cfg.alu_cost
+                }
+                Instr::And { rd, a, b } => {
+                    regs.write(rd, regs.read(a) & regs.value(b));
+                    cfg.alu_cost
+                }
+                Instr::Or { rd, a, b } => {
+                    regs.write(rd, regs.read(a) | regs.value(b));
+                    cfg.alu_cost
+                }
+                Instr::Xor { rd, a, b } => {
+                    regs.write(rd, regs.read(a) ^ regs.value(b));
+                    cfg.alu_cost
+                }
+                Instr::Mov { rd, rs } => {
+                    regs.write(rd, regs.read(rs));
+                    cfg.alu_cost
+                }
+                Instr::Rdtsc { rd } => {
+                    regs.write(rd, t.raw());
+                    cfg.alu_cost
+                }
+                Instr::Nop => cfg.alu_cost,
+                Instr::Jmp { target } => {
+                    next = target;
+                    cfg.branch_cost
+                }
+                Instr::Bnz { cond, target } => {
+                    if regs.read(cond) != 0 {
+                        next = target;
+                    }
+                    cfg.branch_cost
+                }
+                Instr::Beq { a, b, target } => {
+                    if regs.read(a) == regs.read(b) {
+                        next = target;
+                    }
+                    cfg.branch_cost
+                }
+                Instr::Blt { a, b, target } => {
+                    if regs.read(a) < regs.read(b) {
+                        next = target;
+                    }
+                    cfg.branch_cost
+                }
+                Instr::Load { .. } | Instr::Store { .. } | Instr::Flush { .. } | Instr::Halt => {
+                    unreachable!("memory instructions and halt end the run above")
+                }
+            };
+            if wants_retire(interest, &instr) {
+                retires.push(Retired { pc, instr, now: t });
+                if retires.len() >= RETIRE_BATCH {
+                    if let Some(pf) = prefetchers[c].as_deref_mut() {
+                        deliver_retires(pf, c, retires);
+                    }
+                }
+            }
+            idx = next;
+            t += cost;
+            n += 1;
+        }
+        if let Some(f) = fetch.as_mut() {
+            f.finish(mem, c);
+        }
+        core.pc_index = idx;
+        core.ready_at = t;
+        core.retired += n;
+        n
+    }
+
+    /// Executes core `c`'s next instruction when it is a `ld`, `st`,
+    /// `flush` or `halt`, or halts the core at its program's end.
     fn step_core(&mut self, c: usize) {
         // One destructure up front: every field borrow below is disjoint,
-        // so the dispatch loop pays the `cores[c]` bounds check once
-        // instead of once per register access.
+        // so the dispatch pays the `cores[c]` bounds check once.
         let Machine {
             cfg,
             mem,
@@ -448,6 +699,7 @@ impl Machine {
             data,
             trace,
             prefetch_scratch,
+            retires,
             retire_fast_dispatches: _,
             retire_fast_nops: _,
         } = self;
@@ -465,7 +717,6 @@ impl Machine {
         };
 
         if cfg.model_fetch {
-            let _span = prefender_obs::span("fetch");
             t += mem.fetch(c, Addr::new(pc), t);
         }
 
@@ -473,12 +724,7 @@ impl Machine {
         // in-line defense notification; nested spans (settle, defense,
         // expiry) subtract themselves from its self-time.
         let execute_span = prefender_obs::span("execute");
-        let mut next = core.pc_index + 1;
         let cost = match instr {
-            Instr::LoadImm { rd, imm } => {
-                core.regs.write(rd, imm as u64);
-                cfg.alu_cost
-            }
             Instr::Load { rd, base, offset } => {
                 let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
                 let outcome = mem.access(c, addr, AccessKind::Read, t);
@@ -494,7 +740,7 @@ impl Machine {
                     at: t,
                 });
                 record_access(mem, c, pc, addr, t, &outcome);
-                if let Some(pf) = prefetchers[c].as_mut() {
+                if let Some(pf) = prefetchers[c].as_deref_mut() {
                     let ev = AccessEvent {
                         core: c,
                         pc,
@@ -504,7 +750,7 @@ impl Machine {
                         outcome,
                         now: t,
                     };
-                    notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
+                    notify_access(mem, pf, retires, prefetch_scratch, &ev);
                 }
                 outcome.latency
             }
@@ -523,7 +769,7 @@ impl Machine {
                     at: t,
                 });
                 record_access(mem, c, pc, addr, t, &outcome);
-                if let Some(pf) = prefetchers[c].as_mut() {
+                if let Some(pf) = prefetchers[c].as_deref_mut() {
                     let ev = AccessEvent {
                         core: c,
                         pc,
@@ -533,109 +779,28 @@ impl Machine {
                         outcome,
                         now: t,
                     };
-                    notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
+                    notify_access(mem, pf, retires, prefetch_scratch, &ev);
                 }
                 cfg.store_cost
-            }
-            Instr::Add { rd, a, b } => {
-                let v = core.regs.read(a).wrapping_add(core.regs.value(b));
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Sub { rd, a, b } => {
-                let v = core.regs.read(a).wrapping_sub(core.regs.value(b));
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Mul { rd, a, b } => {
-                let v = core.regs.read(a).wrapping_mul(core.regs.value(b));
-                core.regs.write(rd, v);
-                cfg.mul_cost
-            }
-            Instr::Shl { rd, a, b } => {
-                let sh = core.regs.value(b) & 63;
-                let v = core.regs.read(a).wrapping_shl(sh as u32);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Shr { rd, a, b } => {
-                let sh = core.regs.value(b) & 63;
-                let v = core.regs.read(a).wrapping_shr(sh as u32);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::And { rd, a, b } => {
-                let v = core.regs.read(a) & core.regs.value(b);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Or { rd, a, b } => {
-                let v = core.regs.read(a) | core.regs.value(b);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Xor { rd, a, b } => {
-                let v = core.regs.read(a) ^ core.regs.value(b);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Mov { rd, rs } => {
-                let v = core.regs.read(rs);
-                core.regs.write(rd, v);
-                cfg.alu_cost
             }
             Instr::Flush { base, offset } => {
                 let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
                 let lat = mem.flush(addr, t);
                 cfg.flush_cost + lat
             }
-            Instr::Rdtsc { rd } => {
-                core.regs.write(rd, t.raw());
-                cfg.alu_cost
-            }
-            Instr::Nop => cfg.alu_cost,
-            Instr::Jmp { target } => {
-                next = target;
-                cfg.branch_cost
-            }
-            Instr::Bnz { cond, target } => {
-                if core.regs.read(cond) != 0 {
-                    next = target;
-                }
-                cfg.branch_cost
-            }
-            Instr::Beq { a, b, target } => {
-                if core.regs.read(a) == core.regs.read(b) {
-                    next = target;
-                }
-                cfg.branch_cost
-            }
-            Instr::Blt { a, b, target } => {
-                if core.regs.read(a) < core.regs.read(b) {
-                    next = target;
-                }
-                cfg.branch_cost
-            }
             Instr::Halt => {
                 core.state = CoreState::Halted;
                 0
             }
+            _ => unreachable!("register-only instructions retire in register_run"),
         };
         drop(execute_span);
 
-        let wanted = match retire_interest[c] {
-            RetireInterest::None => false,
-            RetireInterest::RegWriters => instr.writes_reg(),
-            RetireInterest::All => true,
-        };
-        if wanted {
-            if let Some(pf) = prefetchers[c].as_mut() {
-                let _span = prefender_obs::span("defense");
-                pf.on_retire(&RetireEvent { core: c, pc, instr: &instr, now: t });
-            }
+        if wants_retire(retire_interest[c], &instr) {
+            retires.push(Retired { pc, instr, now: t });
         }
 
-        core.pc_index = next;
+        core.pc_index += 1;
         core.ready_at = t + cost;
         core.retired += 1;
     }

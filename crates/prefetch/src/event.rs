@@ -20,6 +20,27 @@ pub struct RetireEvent<'a> {
     pub now: Cycle,
 }
 
+/// One retired instruction as the machine buffers it for
+/// [`Prefetcher::on_retire_run`](crate::Prefetcher::on_retire_run): an
+/// owned [`RetireEvent`] whose core is given once per run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retired {
+    /// The instruction's address.
+    pub pc: u64,
+    /// The instruction itself.
+    pub instr: Instr,
+    /// Retirement time.
+    pub now: Cycle,
+}
+
+impl Retired {
+    /// The event [`Prefetcher::on_retire`](crate::Prefetcher::on_retire)
+    /// would have seen for this instruction on `core`.
+    pub fn event(&self, core: usize) -> RetireEvent<'_> {
+        RetireEvent { core, pc: self.pc, instr: &self.instr, now: self.now }
+    }
+}
+
 /// One demand L1D access, observed at the memory stage.
 #[derive(Debug, Clone, Copy)]
 pub struct AccessEvent {

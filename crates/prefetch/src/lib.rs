@@ -43,7 +43,7 @@ mod stride;
 mod tagged;
 
 pub use chain::Chain;
-pub use event::{AccessEvent, PrefetchRequest, RetireEvent};
+pub use event::{AccessEvent, PrefetchRequest, RetireEvent, Retired};
 pub use null::NullPrefetcher;
 pub use stride::{StrideEntry, StridePrefetcher, StrideState};
 pub use tagged::TaggedPrefetcher;
@@ -83,6 +83,24 @@ pub trait Prefetcher {
 
     /// Observes one retired instruction. Default: ignore.
     fn on_retire(&mut self, _ev: &RetireEvent<'_>) {}
+
+    /// Observes a run of instructions `core` retired, oldest first — the
+    /// batched form of [`Prefetcher::on_retire`] the machine model drives.
+    ///
+    /// The machine buffers the retires its [`RetireInterest`] selects
+    /// and delivers them before the core's next
+    /// [`Prefetcher::on_access_into`], when the buffer fills, and before
+    /// `Machine::run`/`run_until`/`step` returns. Every retire therefore
+    /// reaches the prefetcher before any access that follows it, and
+    /// prefetcher state read after the machine call returns is complete.
+    ///
+    /// The default calls `on_retire` once per record, in order; an
+    /// override must leave exactly the state that loop would.
+    fn on_retire_run(&mut self, core: usize, run: &[Retired]) {
+        for r in run {
+            self.on_retire(&r.event(core));
+        }
+    }
 
     /// Which retired instructions [`Prefetcher::on_retire`] cares about.
     /// The conservative default is [`RetireInterest::All`]; prefetchers

@@ -344,6 +344,41 @@ impl Cache {
         }
     }
 
+    /// The line address held by the last-hit slot, when it is valid: a
+    /// demand lookup of that line is a certain hit through
+    /// [`Cache::demand_hit_last`].
+    #[inline]
+    pub(crate) fn last_hit_line(&self) -> Option<u64> {
+        let line = &self.sets[self.last_hit];
+        line.valid.then_some(line.tag)
+    }
+
+    /// The last-touch cycle of the installed line holding `addr`.
+    #[cfg(test)]
+    pub(crate) fn last_touch_of(&self, addr: Addr) -> Option<Cycle> {
+        let la = self.line_addr(addr);
+        self.ways(self.set_of(addr)).iter().find(|l| l.valid && l.tag == la).map(|l| l.last_touch)
+    }
+
+    /// Applies `k` demand hits on the last-hit slot's line at once, the
+    /// last at `last`: the recency, tag-bit and hint effects of `k`
+    /// [`Cache::demand_hit_last`] hits at non-decreasing times ending at
+    /// `last`, without their `DemandHit` events (callers book only while
+    /// the flight recorder is disarmed). The hit counters are the
+    /// caller's, as for every demand lookup.
+    pub(crate) fn book_last_hits(&mut self, k: u64, last: Cycle) {
+        if k == 0 {
+            return;
+        }
+        let line = &mut self.sets[self.last_hit];
+        debug_assert!(line.valid, "booked hits need a valid last-hit line");
+        line.last_touch = last;
+        if line.prefetched {
+            line.prefetched = false;
+            self.stats.prefetch_useful += 1;
+        }
+    }
+
     /// Applies a demand hit on the installed line at `slot`: recency,
     /// tag-bit bookkeeping, the `DemandHit` event and the last-hit hint.
     #[inline]

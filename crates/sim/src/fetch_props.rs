@@ -8,7 +8,9 @@
 //! and the 4-way L2 — so L2 misses back-invalidate L1I lines — with
 //! flushes, idle time and whole-hierarchy resets. Every fetch latency,
 //! every L1I's counters and residency, and the victim a later fill
-//! picks must agree at every step.
+//! picks must agree at every step. A unit test pins
+//! [`MemorySystem::book_fetch_hits`] against repeated fetches the same
+//! way.
 
 use proptest::prelude::*;
 
@@ -137,6 +139,46 @@ proptest! {
             prop_assert_eq!(fast.l2().resident_lines(), full.l2().resident_lines());
         }
     }
+}
+
+/// Booking `k` fetches of the last-hit line at once equals `k` fetch
+/// calls: latencies, L1I counters, the line's last touch, and the victim
+/// a later conflicting fill picks. The set also holds a line filled after
+/// the last-hit line's own hit, so that victim turns on the booked
+/// recency.
+#[test]
+fn booked_fetch_hits_equal_repeated_fetches() {
+    let (a, b) = (addr_of(0), addr_of(2));
+    for k in 0..6u64 {
+        let mut fetched = tiny();
+        assert!(fetched.fetch(0, a, Cycle::ZERO) > 0, "cold miss");
+        assert_eq!(fetched.fetch(0, a, Cycle::new(300)), 0, "hit: `a` takes the last-hit slot");
+        assert!(fetched.fetch(0, b, Cycle::new(400)) > 0, "a miss leaves the slot alone");
+        let mut booked = fetched.clone();
+        assert_eq!(booked.fetch_hit_line(0), Some(a));
+
+        let t0 = 1000;
+        for i in 0..k {
+            assert_eq!(fetched.fetch(0, a, Cycle::new(t0 + i)), 0);
+        }
+        booked.book_fetch_hits(0, k, Cycle::new(t0 + k.max(1) - 1));
+
+        assert_eq!(booked.l1i(0).stats(), fetched.l1i(0).stats(), "k = {k}");
+        assert_eq!(booked.l1i(0).last_touch_of(a), fetched.l1i(0).last_touch_of(a), "k = {k}");
+        let later = Cycle::new(5000);
+        assert_eq!(next_victim(&booked, 0, 0, later), next_victim(&fetched, 0, 0, later));
+    }
+    // The booked recency decides the victim: `b` goes once `a` is hit
+    // again, `a` goes otherwise.
+    let mut m = tiny();
+    m.fetch(0, a, Cycle::ZERO);
+    m.fetch(0, a, Cycle::new(300));
+    m.fetch(0, b, Cycle::new(400));
+    let untouched = next_victim(&m, 0, 0, Cycle::new(5000));
+    m.book_fetch_hits(0, 3, Cycle::new(1002));
+    let touched = next_victim(&m, 0, 0, Cycle::new(5000));
+    assert!(untouched.contains(&b) && !untouched.contains(&a), "{untouched:?}");
+    assert!(touched.contains(&a) && !touched.contains(&b), "{touched:?}");
 }
 
 /// The shortcut actually fires: after one full-lookup hit, the next

@@ -388,9 +388,43 @@ impl MemorySystem {
         self.fetch_lookup(core, addr, now)
     }
 
-    /// [`MemorySystem::fetch`] through the full L1I lookup.
+    /// The line `core`'s next [`MemorySystem::fetch`] is certain to hit
+    /// through the L1I's last-hit slot, if any: while nothing else
+    /// touches that L1I, every fetch from this line is a zero-stall hit
+    /// that [`MemorySystem::book_fetch_hits`] can book in bulk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[inline]
+    pub fn fetch_hit_line(&self, core: usize) -> Option<Addr> {
+        self.l1i[core].last_hit_line().map(Addr::new)
+    }
+
+    /// Books `k` fetches by `core` from the line
+    /// [`MemorySystem::fetch_hit_line`] returned, the last at `last`, with
+    /// no other access to that L1I in between: the counters, recency and
+    /// victim choice equal `k` [`MemorySystem::fetch`] calls at
+    /// non-decreasing times ending at `last`. Only the flight recorder's
+    /// `DemandHit` events are not emitted, so callers fetch one by one
+    /// while it is armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn book_fetch_hits(&mut self, core: usize, k: u64, last: Cycle) {
+        let l1i = &mut self.l1i[core];
+        l1i.book_last_hits(k, last);
+        let st = l1i.stats_mut();
+        st.demand_accesses += k;
+        st.demand_hits += k;
+    }
+
+    /// [`MemorySystem::fetch`] through the full L1I lookup — the only
+    /// fetch path that opens the `fetch` profiling span.
     #[inline(never)]
     pub(crate) fn fetch_lookup(&mut self, core: usize, addr: Addr, now: Cycle) -> u64 {
+        let _span = prefender_obs::span("fetch");
         self.l1i[core].stats_mut().demand_accesses += 1;
         match self.l1i[core].demand_lookup(addr, now) {
             LookupResult::Hit { .. } => {
