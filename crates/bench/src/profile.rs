@@ -257,7 +257,9 @@ impl ProfileReport {
 
 /// Runs `grid` at one thread with spans armed and drains the calling
 /// thread's profile into a section, then re-runs it with spans disarmed
-/// to measure what the profiling itself cost.
+/// to measure what the profiling itself cost. An untimed pass first
+/// warms the allocator, the host caches and lazily built data, so
+/// neither timed pass pays for them.
 fn profile_grid(label: &'static str, grid: &SweepGrid) -> ProfileSection {
     let scenarios = grid.len();
     let sims = grid.sims();
@@ -267,6 +269,8 @@ fn profile_grid(label: &'static str, grid: &SweepGrid) -> ProfileSection {
             run_sweep_observed(grid, &SweepOptions { threads: 1, campaign_seed: 0xC0FFEE }, None);
         start.elapsed().as_secs_f64() * 1e3
     };
+    enable_spans(false);
+    let _warm_up = timed_run();
     // Drain any spans a previous section (or stray test) left behind so
     // the section owns exactly its own run.
     enable_spans(true);

@@ -1,8 +1,6 @@
 //! The composed PREFENDER prefetcher.
 
-use prefender_prefetch::{
-    AccessEvent, PrefetchRequest, Prefetcher, RetireEvent, RetireInterest, Retired,
-};
+use prefender_prefetch::{AccessEvent, PrefetchRequest, Prefetcher, RetireEvent, RetireInterest};
 use prefender_sim::{AccessKind, Addr, PrefetchSource};
 
 use crate::access_tracker::AccessTracker;
@@ -130,22 +128,6 @@ impl Prefetcher for Prefender {
         if self.basic_retires {
             if let Some(b) = self.basic.as_mut() {
                 b.on_retire(ev);
-            }
-        }
-    }
-
-    /// Feeds the run straight into the Scale Tracker's Table III, then
-    /// hands it to the basic prefetcher as one batch. The two units keep
-    /// disjoint state, so this equals interleaving them per instruction.
-    fn on_retire_run(&mut self, core: usize, run: &[Retired]) {
-        if let Some(st) = self.st.as_mut() {
-            for r in run {
-                st.on_retire(&r.instr);
-            }
-        }
-        if self.basic_retires {
-            if let Some(b) = self.basic.as_mut() {
-                b.on_retire_run(core, run);
             }
         }
     }
@@ -502,28 +484,6 @@ mod tests {
         assert!(p.scale_tracker().is_none());
         assert!(p.access_tracker().is_some());
         assert!(p.record_protector().is_none());
-    }
-
-    #[test]
-    fn retire_runs_equal_single_retires() {
-        let program = Program::parse(
-            "li r1, 0x10\nld r2, 0(r1)\nmul r3, r2, 0x200\nadd r4, r3, r1\nshl r5, r2, 9\n",
-        )
-        .unwrap();
-        let run: Vec<Retired> = program
-            .instrs()
-            .iter()
-            .enumerate()
-            .map(|(i, &instr)| Retired { pc: program.pc_of(i), instr, now: Cycle::new(i as u64) })
-            .collect();
-        let build = || Prefender::builder(64, 4096).build();
-        let (mut batched, mut single) = (build(), build());
-        batched.on_retire_run(0, &run);
-        for r in &run {
-            single.on_retire(&r.event(0));
-        }
-        assert_eq!(batched.scale_tracker().unwrap().calc(), single.scale_tracker().unwrap().calc());
-        assert_eq!(batched.scale_tracker().unwrap().usable_scale(Reg::R3), Some(0x200));
     }
 
     #[test]

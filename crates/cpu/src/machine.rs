@@ -153,6 +153,12 @@ fn wants_retire(interest: RetireInterest, instr: &Instr) -> bool {
     }
 }
 
+/// Whether `instr` ends a register-only run: `ld`, `st`, `flush` and
+/// `halt` go through [`Machine::step_core`].
+fn ends_run(instr: &Instr) -> bool {
+    matches!(instr, Instr::Load { .. } | Instr::Store { .. } | Instr::Flush { .. } | Instr::Halt)
+}
+
 /// Retires buffered before a delivery is forced, so a long burst's buffer
 /// stays small and warm in the host's cache.
 const RETIRE_BATCH: usize = 128;
@@ -557,6 +563,11 @@ impl Machine {
         let core = &mut cores[c];
         let prog = core.program.as_ref().expect("running core has a program");
         let instrs = prog.instrs();
+        // A burst calls this before every `ld`/`st`/`flush`/`halt` too:
+        // when nothing can retire here, skip the run's setup and span.
+        if budget == 0 || core.ready_at >= stop || instrs.get(core.pc_index).is_none_or(ends_run) {
+            return 0;
+        }
         let interest = retire_interest[c];
         let batch_nops = batch_nops && !cfg.model_fetch && interest != RetireInterest::All;
         // Booking pays off over a run: a single step (and every fetch
@@ -579,10 +590,7 @@ impl Machine {
                 *retire_fast_nops += k;
                 continue;
             }
-            if matches!(
-                instr,
-                Instr::Load { .. } | Instr::Store { .. } | Instr::Flush { .. } | Instr::Halt
-            ) {
+            if ends_run(&instr) {
                 break;
             }
             let pc = prog.pc_of(idx);
